@@ -46,7 +46,6 @@ from .harness import (
     ExperimentRecord,
     PhaseSchedule,
     compare_schedules,
-    finetune,
     pretrain,
     run_method,
     track_separation,

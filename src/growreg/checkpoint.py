@@ -97,10 +97,17 @@ def load_checkpoint(path):
         raw = fh.read()
     if raw[:8] != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
+
+    def need(end, what):
+        if end > len(raw):
+            raise ConfigError(f"{path}: truncated, {what} ends past byte {len(raw)}")
+
+    need(20, "the fixed header")
     (version,) = struct.unpack("<I", raw[8:12])
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<Q", raw[12:20])
+    need(20 + hlen, "the JSON header")
     header = json.loads(raw[20 : 20 + hlen].decode("utf-8"))
     offset = 20 + hlen
     arrays = {}
@@ -108,6 +115,7 @@ def load_checkpoint(path):
         dt = np.dtype(blob["dtype"])
         count = int(np.prod(blob["shape"])) if blob["shape"] else 1
         nbytes = count * dt.itemsize
+        need(offset + nbytes, f"blob {blob['name']}")
         arrays[blob["name"]] = np.frombuffer(
             raw, dtype=dt, count=count, offset=offset
         ).reshape(blob["shape"]).copy()

@@ -13,6 +13,7 @@ import functools
 import os
 import shutil
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -52,16 +53,9 @@ def _out_dir(out, default_name):
 
 
 def _load_experiment(config, seed, preset, k_update=None):
-    from dataclasses import replace
-
-    from .scheduler import RegConfig
-
-    exp = load_config(config)
+    exp = load_config(config, preset)
     if seed is not None:
         exp = replace(exp, seed=seed)
-    if preset is not None:
-        key = "greg2" if exp.method == "greg2" else "greg1"
-        exp = replace(exp, reg=RegConfig(**PRESETS[preset][key]))
     if k_update is not None:
         exp = replace(exp, reg=replace(exp.reg, k_update=k_update))
     return exp

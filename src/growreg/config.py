@@ -3,9 +3,10 @@
 Configs are JSON with an explicit ``schema_version`` so experiment inputs
 stay diffable and archivable. Validation is strict: unknown keys are
 rejected and errors name the offending field path. A ``preset`` key fills
-the regularization constants: ``desk`` finishes in minutes on toy nets,
-``paper`` carries the reference constants (very long ramps; documented,
-not meant for CI).
+the regularization constants and explicit ``reg`` keys override it; a
+preset passed to :func:`load_config` replaces the document's key. ``desk``
+finishes in minutes on toy nets, ``paper`` carries the reference constants
+(very long ramps; documented, not meant for CI).
 """
 
 from __future__ import annotations
@@ -116,8 +117,6 @@ def _phase_from(doc, where):
             milestones=tuple((int(s), float(lr)) for s, lr in doc["milestones"]),
             momentum=float(doc.get("momentum", 0.9)),
         )
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -140,7 +139,8 @@ def _reg_from(doc, preset, method, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def config_from_dict(doc) -> ExperimentConfig:
+def config_from_dict(doc, preset=None) -> ExperimentConfig:
+    """Validated experiment; ``preset`` stands in for the document's key."""
     _check_keys(doc, _TOP_KEYS, {"schema_version", "experiment"}, "config")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
@@ -171,7 +171,9 @@ def config_from_dict(doc) -> ExperimentConfig:
     if not isinstance(exp["plan"], str) or not exp["plan"].strip():
         raise ConfigError("experiment.plan: must be a non-empty plan string")
 
-    reg = _reg_from(exp.get("reg"), doc.get("preset"), method, "experiment.reg")
+    reg = _reg_from(exp.get("reg"), preset or doc.get("preset"), method, "experiment.reg")
+    pretrain = _phase_from(exp["pretrain"], "experiment.pretrain")
+    finetune = _phase_from(exp["finetune"], "experiment.finetune")
     try:
         return ExperimentConfig(
             layers=layers,
@@ -181,8 +183,8 @@ def config_from_dict(doc) -> ExperimentConfig:
             plan=exp["plan"],
             method=method,
             reg=reg,
-            pretrain=_phase_from(exp["pretrain"], "experiment.pretrain"),
-            finetune=_phase_from(exp["finetune"], "experiment.finetune"),
+            pretrain=pretrain,
+            finetune=finetune,
             granularity=exp.get("granularity", "filter"),
             reg_batch_size=int(exp.get("reg_batch_size", 64)),
             reg_lr=float(exp.get("reg_lr", 1e-3)),
@@ -191,13 +193,11 @@ def config_from_dict(doc) -> ExperimentConfig:
             seed=int(exp.get("seed", 0)),
             metric_every=int(exp.get("metric_every", 200)),
         )
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"experiment: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, preset=None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -205,4 +205,4 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(doc, preset)

@@ -140,14 +140,13 @@ def group_counts(net: Network, granularity: str):
 
 @dataclass(frozen=True, eq=False)
 class GroupNorms:
-    """Per-layer arrays of group L1 norms, stamped with an iteration."""
+    """Per-layer arrays of group L1 norms."""
 
     per_layer: list
     granularity: str
-    iteration: int = 0
 
 
-def group_l1_norms(net: Network, granularity: str, iteration: int = 0) -> GroupNorms:
+def group_l1_norms(net: Network, granularity: str) -> GroupNorms:
     _check_granularity(granularity)
     norms = []
     for spec, w in zip(net.layers, net.weights):
@@ -157,7 +156,7 @@ def group_l1_norms(net: Network, granularity: str, iteration: int = 0) -> GroupN
             norms.append(np.abs(w).sum(axis=0))
         else:
             norms.append(np.abs(w).sum(axis=(1, 2, 3)))
-    return GroupNorms(per_layer=norms, granularity=granularity, iteration=iteration)
+    return GroupNorms(per_layer=norms, granularity=granularity)
 
 
 def norm_dispersion(norms) -> float:
@@ -183,9 +182,6 @@ class Mask:
 
     def pruned_counts(self):
         return [int((f == 0).sum()) for f in self.flags]
-
-    def total_groups(self):
-        return int(sum(f.size for f in self.flags))
 
     def to_text(self) -> str:
         lines = [f"# granularity={self.granularity}"]
@@ -214,7 +210,8 @@ class Mask:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
-def _selection_counts(plan: PruningPlan, counts):
+def selection_counts(plan: PruningPlan, counts):
+    """Groups the plan selects per layer, floor(r_l * n_l), given group counts."""
     if len(counts) != plan.num_layers:
         raise PlanError(
             f"plan covers {plan.num_layers} layers, network has {len(counts)}"
@@ -241,7 +238,7 @@ def select_prune_set(norms: GroupNorms, plan: PruningPlan) -> Mask:
         raise PlanError(
             f"norms granularity {norms.granularity!r} != plan {plan.granularity!r}"
         )
-    ks = _selection_counts(plan, [len(v) for v in norms.per_layer])
+    ks = selection_counts(plan, [len(v) for v in norms.per_layer])
     flags = []
     for vals, k in zip(norms.per_layer, ks):
         f = np.ones(len(vals), dtype=np.uint8)
@@ -255,7 +252,7 @@ def select_prune_set(norms: GroupNorms, plan: PruningPlan) -> Mask:
 def random_prune_set(net: Network, plan: PruningPlan, seed: int) -> Mask:
     """Uniform random choice of floor(r_l * n_l) groups per layer, seeded."""
     counts = group_counts(net, plan.granularity)
-    ks = _selection_counts(plan, counts)
+    ks = selection_counts(plan, counts)
     rng = np.random.default_rng(seed)
     flags = []
     for n, k in zip(counts, ks):

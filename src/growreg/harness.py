@@ -1,5 +1,8 @@
 """End-to-end experiment pipelines: pretrain, regularize, prune, fine-tune.
 
+Every phase runs through one SGD loop; the ramp takes its penalties from
+one scheduler tick per step, for a tick count known before the first tick.
+
 The harness owns the comparison protocols. A same-set comparison runs the
 ramped schedule and one-shot pruning from one shared baseline with the
 identical pruned set per seed (asserted via mask digests); the random-set
@@ -18,7 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, DomainError, ProtocolError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    DomainError,
+    ProtocolError,
+    ScheduleError,
+)
 from .datasets import Dataset, load_csv_dataset, make_dataset
 from .groups import (
     Mask,
@@ -31,7 +40,7 @@ from .groups import (
     select_prune_set,
     sparsity,
 )
-from .netcore import LayerSpec, Network, OptimState, accuracy, loss_and_grads, sgd_step
+from .netcore import Network, OptimState, accuracy, loss_and_grads, sgd_step
 from .scheduler import (
     DONE,
     GROWING,
@@ -40,7 +49,9 @@ from .scheduler import (
     greg1_init,
     greg2_init,
     is_prune_ready,
+    ramp_length,
     tick,
+    ticks_to_done,
 )
 
 METHODS = ("greg1", "greg2", "oneshot_l1", "random_subset")
@@ -56,6 +67,12 @@ class PhaseSchedule:
     momentum: float = 0.9
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         ms = tuple((int(s), float(lr)) for s, lr in self.milestones)
         if not ms or ms[0][0] != 0:
             raise ConfigError("LR milestones must start at step 0")
@@ -95,8 +112,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.metric_every < 1:
-            raise ConfigError("metric_every must be >= 1")
+        for name, low in (("reg_batch_size", 1), ("reg_max_iters", 0),
+                          ("metric_every", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.reg_lr > 0:
+            raise ConfigError(f"reg_lr must be > 0, got {self.reg_lr}")
+        if not 0 <= self.reg_momentum < 1:
+            raise ConfigError(f"reg_momentum must lie in [0, 1), got {self.reg_momentum}")
+        if self.method == "greg2":
+            ramp_length(self.reg, "greg2")  # rejects ramps that cannot pick
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
 
@@ -158,21 +183,26 @@ def build_network(exp: ExperimentConfig) -> Network:
     )
 
 
-def _train(net, data, sched: PhaseSchedule, rng, base_decay, recorder=None):
-    """Plain SGD loop under uniform base decay; optional row recorder."""
-    if sched.steps == 0:
-        return net
+def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
+           on_step=None):
+    """The SGD loop of every phase: ``sched.steps`` momentum-SGD steps.
+
+    ``penalties(step)``, called before each batch is drawn, returns the
+    per-layer penalty factors for that step (uniform ``base_decay`` when
+    absent); ``on_step(step, loss)`` runs after each update.
+    """
     opt = OptimState.for_network(
         net, sched.lr_at(0), momentum=sched.momentum, base_decay=base_decay
     )
     batches = data.batches(sched.batch_size, rng)
     for step in range(sched.steps):
         opt.learning_rate = sched.lr_at(step)
+        lambdas = penalties(step) if penalties is not None else None
         x, y = next(batches)
         loss, grads = loss_and_grads(net, x, y)
-        sgd_step(net, grads, opt)
-        if recorder is not None:
-            recorder(step, loss)
+        sgd_step(net, grads, opt, lambdas)
+        if on_step is not None:
+            on_step(step, loss)
     return net
 
 
@@ -217,30 +247,35 @@ def _snapshot(record, it, net, granularity, prunable_layers):
             record.snapshots.append((it, l, vec / peak))
 
 
-def _run_reg_phase(net, data, exp, state, record, collect_snapshots=False):
-    """Drive the scheduler to done, one SGD step per tick."""
-    opt = OptimState.for_network(
-        net, exp.reg_lr, momentum=exp.reg_momentum, base_decay=exp.reg.base_decay
-    )
-    batches = data.batches(exp.reg_batch_size, np.random.default_rng([exp.seed, 2]))
-    while not is_prune_ready(state):
-        if state.iter >= exp.reg_max_iters:
-            raise BudgetExceededError(
-                f"regularization phase exceeded {exp.reg_max_iters} iterations "
-                f"(phase {state.phase}, lambda {state.lam})"
-            )
-        state, lam_groups = tick(state, net, exp.reg)
-        it = state.iter - 1
-        x, y = next(batches)
-        loss, grads = loss_and_grads(net, x, y)
-        lambdas = dict(enumerate(expand_group_values(net, state.granularity, lam_groups)))
-        sgd_step(net, grads, opt, lambdas)
-        if it % exp.metric_every == 0:
-            _metric_row(record, it, state.phase, state.lam, loss, net, data,
-                        state.granularity)
-            if collect_snapshots:
-                _snapshot(record, it, net, state.granularity, state.eligible_layers)
-    return state.iter
+def _run_reg_phase(net, data, exp, state, record, control=False):
+    """Drive the scheduler to done, one SGD step per tick; returns the ticks.
+
+    ``control`` trains the same ticks under the uniform base decay instead.
+    """
+    ticks = ticks_to_done(state, exp.reg)
+    if ticks > exp.reg_max_iters:
+        raise BudgetExceededError(
+            f"regularization phase needs {ticks} iterations, over "
+            f"reg_max_iters {exp.reg_max_iters}"
+        )
+
+    def penalties(step):
+        _, lam_groups = tick(state, net, exp.reg)
+        return dict(enumerate(expand_group_values(net, state.granularity, lam_groups)))
+
+    def on_step(step, loss):
+        if step % exp.metric_every == 0:
+            phase, lam = ("control", 0.0) if control else (state.phase, state.lam)
+            _metric_row(record, step, phase, lam, loss, net, data, state.granularity)
+            if state.method == "greg2":
+                _snapshot(record, step, net, state.granularity, state.eligible_layers)
+
+    sched = PhaseSchedule(ticks, exp.reg_batch_size, ((0, exp.reg_lr),), exp.reg_momentum)
+    _train(net, data, sched, np.random.default_rng([exp.seed, 2]), exp.reg.base_decay,
+           None if control else penalties, on_step)
+    if not (control or is_prune_ready(state)):
+        raise ScheduleError(f"schedule not done after {ticks} ticks (phase {state.phase})")
+    return ticks
 
 
 def _init_state(exp, net, plan, initial_mask):
@@ -288,9 +323,7 @@ def run_method(
         state = None
     else:
         state = _init_state(exp, net, plan, initial_mask)
-        reg_ticks = _run_reg_phase(
-            net, data, exp, state, record, collect_snapshots=(exp.method == "greg2")
-        )
+        reg_ticks = _run_reg_phase(net, data, exp, state, record)
         mask = state.prune_mask()
         pre_prune_acc = accuracy(net, data.val_x, data.val_y)
 
@@ -305,7 +338,7 @@ def run_method(
             _metric_row(record, it, "finetune", 0.0, loss, pruned, data,
                         exp.granularity)
 
-    _train(pruned, data, exp.finetune, ft_rng, exp.reg.base_decay, ft_recorder)
+    _train(pruned, data, exp.finetune, ft_rng, exp.reg.base_decay, on_step=ft_recorder)
     record.summary = {
         "method": exp.method,
         "seed": exp.seed,
@@ -430,25 +463,10 @@ def compare_schedules(exp: ExperimentConfig, n_seeds: int, kind: str = "l1") -> 
 def schedule_length(exp: ExperimentConfig) -> int:
     """Tick count the configured ramp runs before reporting done.
 
-    The duration depends only on the ramp constants, so it is measured on
-    a throwaway two-unit net without any training.
+    The duration depends only on the ramp constants, so it is worked out
+    by arithmetic, for a plan whose prune set is not empty.
     """
-    dummy = Network.initialize(
-        (
-            LayerSpec("dense", 2, activation="relu"),
-            LayerSpec("dense", 2, activation="none"),
-        ),
-        (2,),
-        2,
-        seed=0,
-    )
-    plan = parse_pruning_plan("[0.5, 0]", 2, "filter")
-    state = (greg2_init if exp.method == "greg2" else greg1_init)(dummy, plan, exp.reg)
-    ticks = 0
-    while not is_prune_ready(state):
-        state, _ = tick(state, dummy, exp.reg)
-        ticks += 1
-    return ticks
+    return ramp_length(exp.reg, exp.method)
 
 
 def track_separation(exp: ExperimentConfig, control: bool = False) -> ExperimentRecord:
@@ -461,36 +479,9 @@ def track_separation(exp: ExperimentConfig, control: bool = False) -> Experiment
     data = build_dataset(exp)
     net = pretrain(exp, data).clone()
     record = ExperimentRecord(n_layers=len(net.layers))
-    if not control:
-        exp = replace(exp, method="greg2")
-        plan = parse_pruning_plan(exp.plan, len(net.layers), exp.granularity)
-        state = greg2_init(net, plan, exp.reg)
-        _run_reg_phase(net, data, exp, state, record, collect_snapshots=True)
-        record.summary = {"mode": "greg2", "ticks": state.iter}
-        return record
-    total = schedule_length(replace(exp, method="greg2"))
+    exp = replace(exp, method="greg2")
     plan = parse_pruning_plan(exp.plan, len(net.layers), exp.granularity)
-    prunable = [
-        l for l, spec in enumerate(net.layers)
-        if spec.prunable and l not in plan.never_prune
-    ]
-    opt = OptimState.for_network(
-        net, exp.reg_lr, momentum=exp.reg_momentum, base_decay=exp.reg.base_decay
-    )
-    batches = data.batches(exp.reg_batch_size, np.random.default_rng([exp.seed, 2]))
-    for it in range(total):
-        x, y = next(batches)
-        loss, grads = loss_and_grads(net, x, y)
-        sgd_step(net, grads, opt)
-        if it % exp.metric_every == 0:
-            _metric_row(record, it, "control", 0.0, loss, net, data, exp.granularity)
-            _snapshot(record, it, net, exp.granularity, prunable)
-    record.summary = {"mode": "control", "ticks": total}
+    state = greg2_init(net, plan, exp.reg)
+    ticks = _run_reg_phase(net, data, exp, state, record, control)
+    record.summary = {"mode": "control" if control else "greg2", "ticks": ticks}
     return record
-
-
-def finetune(net: Network, sched: PhaseSchedule, data: Dataset, base_decay=5e-4, seed=0) -> Network:
-    """Standalone fine-tune entry point; respects frozen-zero weights."""
-    return _train(
-        net, data, sched, np.random.default_rng([seed, 4]), base_decay
-    )

@@ -216,12 +216,8 @@ def forward(net: Network, batch_inputs):
     return x, cache
 
 
-def predict_logits(net: Network, inputs):
-    return forward(net, inputs)[0]
-
-
 def accuracy(net: Network, inputs, labels) -> float:
-    logits = predict_logits(net, inputs)
+    logits = forward(net, inputs)[0]
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 

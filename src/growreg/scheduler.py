@@ -12,6 +12,9 @@ update. Penalty increments land every ``k_update`` ticks; once the ramped
 value passes the ceiling ``tau`` the state stabilizes (penalties frozen)
 for ``k_stabilize`` ticks and then reports done, at which point the caller
 hard-prunes.
+
+The staircase depends only on the ramp constants, so :func:`ramp_length`
+works out the tick count by arithmetic, without a network or any ticking.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .groups import (
     group_counts,
     group_l1_norms,
     select_prune_set,
+    selection_counts,
     validate_plan_against,
 )
 from .netcore import Network
@@ -59,10 +63,6 @@ class RegConfig:
     post_pick_delta_lambda: float = None
 
     def __post_init__(self):
-        if not 0 < self.delta_lambda < self.tau:
-            raise DomainError(
-                f"need 0 < delta_lambda < tau, got {self.delta_lambda}, {self.tau}"
-            )
         if self.tau_prime is not None and not 0 < self.tau_prime < self.tau:
             raise DomainError(
                 f"need 0 < tau_prime < tau, got {self.tau_prime}, {self.tau}"
@@ -73,6 +73,11 @@ class RegConfig:
             raise DomainError(f"k_stabilize must be >= 0, got {self.k_stabilize}")
         if self.post_pick_delta_lambda is None:
             object.__setattr__(self, "post_pick_delta_lambda", self.delta_lambda)
+        # ramp lengths are counted in increments that floats hold exactly
+        for name in ("delta_lambda", "post_pick_delta_lambda"):
+            step = getattr(self, name)
+            if not (0 < step < self.tau and self.tau / step <= 2**53):
+                raise DomainError(f"need tau / 2**53 <= {name} < tau, got {step}")
 
 
 @dataclass(eq=False)
@@ -119,49 +124,6 @@ class RegState:
             flags.append(f)
         return Mask(granularity=self.granularity, flags=flags)
 
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "phase": self.phase,
-            "iter": self.iter,
-            "lambda": self.lam,
-            "incr_pre": self.incr_pre,
-            "incr_post": self.incr_post,
-            "stab_elapsed": self.stab_elapsed,
-            "prune_sets": [[int(i) for i in p] for p in self.prune_sets],
-            "kept_sets": [[int(i) for i in k] for k in self.kept_sets],
-            "eligible_layers": list(self.eligible_layers),
-            "counts": list(self._counts),
-            "plan": {
-                "ratios": list(self.plan.ratios),
-                "granularity": self.plan.granularity,
-                "never_prune": sorted(self.plan.never_prune),
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        plan = PruningPlan(
-            ratios=tuple(doc["plan"]["ratios"]),
-            granularity=doc["plan"]["granularity"],
-            never_prune=frozenset(doc["plan"]["never_prune"]),
-        )
-        state = cls(
-            method=doc["method"],
-            phase=doc["phase"],
-            plan=plan,
-            prune_sets=[np.asarray(p, dtype=int) for p in doc["prune_sets"]],
-            kept_sets=[np.asarray(k, dtype=int) for k in doc["kept_sets"]],
-            eligible_layers=list(doc["eligible_layers"]),
-            iter=doc["iter"],
-            incr_pre=doc["incr_pre"],
-            incr_post=doc["incr_post"],
-            stab_elapsed=doc["stab_elapsed"],
-            lam=doc["lambda"],
-        )
-        state._counts = list(doc["counts"])
-        return state
-
 
 def _eligible_layers(net: Network, plan: PruningPlan):
     return [
@@ -201,8 +163,7 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
 
 def greg2_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
     """Picking schedule: start with every prunable group under the ramp."""
-    if cfg.tau_prime is None:
-        raise DomainError("the picking schedule needs tau_prime")
+    ramp_length(cfg, "greg2")  # rejects ramps that cannot pick
     validate_plan_against(net, plan)
     counts = group_counts(net, plan.granularity)
     eligible = _eligible_layers(net, plan)
@@ -226,6 +187,60 @@ def greg2_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
 
 def _above(value, ceiling):
     return value > ceiling * (1.0 + _CEIL_REL_EPS)
+
+
+def _ramp_lambda(cfg: RegConfig, incr_pre, incr_post):
+    return incr_pre * cfg.delta_lambda + incr_post * cfg.post_pick_delta_lambda
+
+
+def _first_above(lam, ceiling, guess):
+    """Smallest n >= 0 with non-decreasing ``lam(n)`` above ``ceiling``."""
+    n = max(0, int(guess))
+    while n > 0 and _above(lam(n - 1), ceiling):
+        n -= 1
+    while not _above(lam(n), ceiling):
+        n += 1
+    return n
+
+
+def ramp_length(cfg: RegConfig, method: str, pick_empty: bool = False) -> int:
+    """Ticks a fresh schedule with a non-empty prune set runs until done.
+
+    Works the staircase out by arithmetic: boundary ``b`` (from 0) lands on
+    tick ``b * k_update``, and the boundary whose increment passes ``tau``
+    is the first of ``max(1, k_stabilize)`` stabilizing ticks. With
+    ``pick_empty`` the picking schedule's pick selects no group, so it
+    stabilizes at the picking boundary instead. Rejects a picking ramp that
+    passes ``tau`` before any boundary sees the penalty above ``tau_prime``.
+    """
+    def pre(n):
+        return _ramp_lambda(cfg, n, 0)
+
+    if method != "greg2":
+        last = _first_above(pre, cfg.tau, cfg.tau / cfg.delta_lambda) - 1
+        return last * cfg.k_update + max(1, cfg.k_stabilize)
+    if cfg.tau_prime is None:
+        raise DomainError("the picking schedule needs tau_prime")
+    pick = _first_above(pre, cfg.tau_prime, cfg.tau_prime / cfg.delta_lambda)
+    if _above(pre(pick), cfg.tau):
+        raise DomainError(
+            f"with delta_lambda {cfg.delta_lambda}, lambda passes tau {cfg.tau} "
+            f"before a boundary sees it above tau_prime {cfg.tau_prime}, so the "
+            "picking schedule would never pick"
+        )
+    last = pick
+    if not pick_empty:
+        last += _first_above(lambda n: _ramp_lambda(cfg, pick, n), cfg.tau,
+                             (cfg.tau - pre(pick)) / cfg.post_pick_delta_lambda) - 1
+    return last * cfg.k_update + max(1, cfg.k_stabilize)
+
+
+def ticks_to_done(state: RegState, cfg: RegConfig) -> int:
+    """:func:`ramp_length` for a freshly initialized state (0 if done)."""
+    if state.phase == DONE:
+        return 0
+    picks = selection_counts(state.plan, state._counts)
+    return ramp_length(cfg, state.method, pick_empty=not any(picks))
 
 
 def tick(state: RegState, net: Network, cfg: RegConfig):
@@ -255,10 +270,7 @@ def tick(state: RegState, net: Network, cfg: RegConfig):
                 state.incr_post += 1
             else:
                 state.incr_pre += 1
-            state.lam = (
-                state.incr_pre * cfg.delta_lambda
-                + state.incr_post * cfg.post_pick_delta_lambda
-            )
+            state.lam = _ramp_lambda(cfg, state.incr_pre, state.incr_post)
             if _above(state.lam, cfg.tau):
                 state.phase = STABILIZING
                 state.stab_elapsed = 0
@@ -273,7 +285,7 @@ def tick(state: RegState, net: Network, cfg: RegConfig):
 
 def _pick(state: RegState, net: Network):
     """Score by current L1 norms, fix the prune set, start kept recovery."""
-    norms = group_l1_norms(net, state.granularity, iteration=state.iter)
+    norms = group_l1_norms(net, state.granularity)
     mask = select_prune_set(norms, state.plan)
     prune_sets, kept_sets = [], []
     for l, flags in enumerate(mask.flags):

@@ -77,3 +77,18 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(raw + b"\x00")
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def test_every_truncation_rejected(tmp_path):
+    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=15)
+    net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
+    raw = checkpoint_bytes(net, OptimState.for_network(net, 0.01))
+    path = tmp_path / "cut.ckpt"
+    for n in range(len(raw) + 1):
+        path.write_bytes(raw[:n])
+        if n < len(raw):
+            with pytest.raises(ConfigError, match="cut.ckpt"):
+                load_checkpoint(path)
+        else:
+            loaded, opt, _ = load_checkpoint(path)
+            assert checkpoint_bytes(loaded, opt) == raw

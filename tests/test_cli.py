@@ -202,6 +202,20 @@ class TestPipelineCommands:
             ]
         assert int(ticks["ku4"]) > int(ticks["ku2"])
 
+    def test_preset_flag_keeps_explicit_reg_keys(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["reg"]["base_decay"] = 0.0
+        cfg.write_text(json.dumps(doc))
+        ckpts = []
+        for name, flags in (("plain", []), ("preset", ["--preset", "desk"])):
+            out = tmp_path / name
+            result = runner.invoke(
+                main, ["pretrain", "--config", str(cfg), "--out", str(out), *flags])
+            assert result.exit_code == 0, result.output
+            ckpts.append((out / "baseline.ckpt").read_bytes())
+        assert ckpts[0] == ckpts[1]
+
     def test_out_root_env_var(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)
         env = {"GROWREG_OUT_ROOT": str(tmp_path / "root")}
@@ -230,6 +244,42 @@ class TestValidationExitCodes:
                                       str(tmp_path / "x")])
         assert result.exit_code == 2
         assert "warmup" in result.output
+
+    @pytest.mark.parametrize("field, value", [
+        ("pretrain.batch_size", 0),
+        ("pretrain.steps", -5),
+        ("finetune.momentum", 1.0),
+        ("reg_batch_size", 0),
+        ("reg_lr", 0.0),
+        ("reg_momentum", -0.1),
+        ("reg_max_iters", -1),
+    ])
+    def test_bad_field_names_path(self, runner, tmp_path, field, value):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        *parents, key = field.split(".")
+        node = doc["experiment"]
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out",
+                                      str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert all(part in result.output for part in field.split("."))
+
+    def test_greg2_that_never_picks_rejected(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path, method="greg2")
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["reg"].update(delta_lambda=0.4, tau_prime=0.45, tau=0.7)
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out",
+                                      str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+        for name in ("delta_lambda", "tau_prime", "tau"):
+            assert name in result.output
 
     def test_budget_exhaustion_is_runtime_error(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -58,6 +58,15 @@ def test_explicit_reg_overrides_preset():
     assert exp.reg.tau == PRESETS["desk"]["greg1"]["tau"]
 
 
+def test_preset_argument_stands_in_for_document_key():
+    doc = minimal_doc(experiment={"reg": {"delta_lambda": 0.005}})
+    exp = config_from_dict(doc, preset="paper")
+    assert exp.reg.delta_lambda == 0.005
+    assert exp.reg.tau == PRESETS["paper"]["greg1"]["tau"]
+    del doc["preset"]
+    assert config_from_dict(doc, preset="desk").reg.k_update == 5
+
+
 def test_unknown_top_level_key_named():
     with pytest.raises(ConfigError, match="bogus"):
         config_from_dict(minimal_doc(bogus=1))

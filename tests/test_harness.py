@@ -1,9 +1,12 @@
 """Datasets and end-to-end pipelines at quick desk settings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import mlp_specs
+from growreg import harness
 from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
 from growreg.errors import BudgetExceededError, ConfigError, DomainError
@@ -13,7 +16,6 @@ from growreg.harness import (
     PhaseSchedule,
     build_dataset,
     compare_schedules,
-    finetune,
     pretrain,
     run_method,
     schedule_length,
@@ -167,8 +169,6 @@ class TestRunMethod:
         data = build_dataset(exp)
         baseline = pretrain(exp, data)
         rec_a = run_method(exp, baseline=baseline, data=data)
-        from dataclasses import replace
-
         rec_b = run_method(replace(exp, method="oneshot_l1"), baseline=baseline,
                            data=data)
         assert rec_a.summary["pruned_hash"] == rec_b.summary["pruned_hash"]
@@ -183,12 +183,21 @@ class TestRunMethod:
         assert iters == sorted(iters)
         assert len(set(iters)) == len(iters)
 
-    def test_budget_cap_enforced(self):
-        from dataclasses import replace
+    def test_budget_cap_enforced(self, monkeypatch):
+        def no_tick(*args):
+            raise AssertionError("ticked an over-budget ramp")
 
+        monkeypatch.setattr(harness, "tick", no_tick)
         exp = replace(quick_config(), reg_max_iters=5)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="reg_max_iters 5"):
             run_method(exp)
+
+    def test_greg2_that_cannot_pick_rejected_at_build(self):
+        reg = RegConfig(delta_lambda=0.4, tau=0.7, tau_prime=0.45)
+        with pytest.raises(DomainError, match="never pick"):
+            quick_config(method="greg2", reg=reg)
+        with pytest.raises(DomainError, match="tau_prime"):
+            quick_config(method="greg2", reg=RegConfig(delta_lambda=0.1, tau=1.0))
 
     def test_dataset_class_mismatch_rejected(self):
         exp = quick_config(dataset={"kind": "blobs", "n_train": 64, "n_val": 32,
@@ -288,29 +297,39 @@ class TestCompare:
 
 
 class TestFinetune:
-    def test_zero_steps_identity(self):
-        exp = quick_config()
-        data = build_dataset(exp)
-        net = pretrain(exp, data)
-        before = [w.copy() for w in net.weights]
-        finetune(net, PhaseSchedule(steps=0, batch_size=8, milestones=((0, 1e-3),)),
-                 data)
-        assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
+    @pytest.fixture
+    def pruned_nets(self, monkeypatch):
+        """Each net run_method hard-prunes (and then fine-tunes in place)."""
+        nets = []
 
-    def test_unstructured_mask_stays_exactly_zero(self, rng):
-        exp = quick_config()
+        def spy(*args, **kwargs):
+            nets.append(apply_hard_prune(*args, **kwargs))
+            nets.append([w.copy() for w in nets[-1].weights])
+            return nets[-2]
+
+        monkeypatch.setattr(harness, "apply_hard_prune", spy)
+        return nets
+
+    def test_zero_steps_identity(self, pruned_nets):
+        rec = run_method(quick_config(method="oneshot_l1", ft_steps=0))
+        net, at_prune = pruned_nets
+        assert all(np.array_equal(a, b) for a, b in zip(at_prune, net.weights))
+        assert rec.summary["post_finetune_acc"] == rec.summary["post_prune_acc"]
+
+    def test_unstructured_mask_stays_exactly_zero(self, rng, pruned_nets):
+        exp = replace(quick_config(method="oneshot_l1", ft_steps=1000),
+                      granularity="weight")
         data = build_dataset(exp)
         net = pretrain(exp, data)
         counts = group_counts(net, "weight")
         flags = [np.ones(n, dtype=np.uint8) for n in counts]
         dead = rng.choice(counts[0], size=counts[0] // 2, replace=False)
         flags[0][dead] = 0
-        pruned = apply_hard_prune(net, Mask("weight", flags))
-        finetune(pruned,
-                 PhaseSchedule(steps=1000, batch_size=32, milestones=((0, 1e-2),)),
-                 data, seed=3)
+        run_method(exp, baseline=net, data=data, initial_mask=Mask("weight", flags))
+        pruned, at_prune = pruned_nets
         assert np.all(pruned.weights[0].ravel()[dead] == 0.0)
         assert np.any(pruned.weights[0].ravel()[flags[0] == 1] != 0.0)
+        assert not np.array_equal(pruned.weights[0], at_prune[0])
 
     def test_half_ratio_recovers_within_a_point(self):
         rec = run_method(quick_config(plan="[0, 0.5, 0]", hidden=(24, 16),

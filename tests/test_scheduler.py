@@ -1,10 +1,11 @@
-"""Phase machines: ramp timing, pick event, set bookkeeping, persistence."""
+"""Phase machines: ramp timing, pick event, set bookkeeping, ramp length."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mlp_specs
-from growreg.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from growreg.errors import DomainError, ScheduleError
 from growreg.groups import parse_pruning_plan
 from growreg.netcore import Network
@@ -14,11 +15,12 @@ from growreg.scheduler import (
     PICKED,
     STABILIZING,
     RegConfig,
-    RegState,
     greg1_init,
     greg2_init,
     is_prune_ready,
+    ramp_length,
     tick,
+    ticks_to_done,
 )
 
 
@@ -36,6 +38,12 @@ class TestRegConfig:
             RegConfig(delta_lambda=0.1, tau=1.0, tau_prime=1.5)
         with pytest.raises(DomainError):
             RegConfig(delta_lambda=0.1, tau=1.0, k_update=0)
+        with pytest.raises(DomainError):
+            RegConfig(delta_lambda=0.1, tau=1.0, post_pick_delta_lambda=-0.1)
+        with pytest.raises(DomainError):
+            RegConfig(delta_lambda=0.1, tau=1.0, post_pick_delta_lambda=1.0)
+        with pytest.raises(DomainError):
+            RegConfig(delta_lambda=1e-300, tau=1.0)
 
     def test_post_pick_defaults_to_delta(self):
         cfg = RegConfig(delta_lambda=0.1, tau=1.0)
@@ -58,26 +66,6 @@ class TestFixedSetInit:
         assert state.prune_sets[0].tolist() == [0, 2]
         assert state.phase == GROWING
         assert state.lam == 0.0
-
-    def test_state_serialization_roundtrip_bytes(self, tmp_path):
-        net = dense_net(hidden=(6, 5), seed=3)
-        plan = parse_pruning_plan("[0, 0.5, 0]", 3)
-        cfg = RegConfig(delta_lambda=0.1, tau=1.0, k_update=2, k_stabilize=3)
-        state = greg1_init(net, plan, cfg)
-        for _ in range(7):
-            state, _ = tick(state, net, cfg)
-        doc = state.to_dict()
-        path = tmp_path / "reg.ckpt"
-        save_checkpoint(path, net, reg_state=doc)
-        _, _, loaded_doc = load_checkpoint(path)
-        restored = RegState.from_dict(loaded_doc)
-        assert checkpoint_bytes(net, reg_state=restored.to_dict()) == path.read_bytes()
-        assert restored.phase == state.phase
-        assert restored.lam == state.lam
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(restored.prune_sets, state.prune_sets)
-        )
 
 
 class TestPickingInit:
@@ -239,3 +227,69 @@ class TestTick:
         mask = state.prune_mask()
         assert np.flatnonzero(mask.flags[0] == 0).tolist() == state.prune_sets[0].tolist()
         assert np.all(mask.flags[1] == 1)
+
+
+@st.composite
+def ramp_configs(draw):
+    """RegConfigs with short ramps; half of them put increments exactly on
+    tau_prime and tau, where the ceiling slack decides."""
+    k_update = draw(st.integers(1, 4))
+    k_stabilize = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        delta = draw(st.sampled_from([0.1, 0.01, 1e-3, 0.2, 0.3, 0.05, 0.07]))
+        n_tau = draw(st.integers(3, 60))
+        tau = n_tau * delta
+        tau_prime = draw(st.integers(1, n_tau - 1)) * delta
+        post = draw(st.sampled_from([delta, 2 * delta, delta / 2]))
+    else:
+        tau = draw(st.floats(0.05, 5.0))
+        delta = tau / draw(st.floats(1.01, 40.0))
+        tau_prime = tau * draw(st.floats(0.01, 0.99))
+        post = tau / draw(st.floats(1.01, 60.0))
+    return RegConfig(delta_lambda=delta, tau=tau, tau_prime=tau_prime,
+                     k_update=k_update, k_stabilize=k_stabilize,
+                     post_pick_delta_lambda=post)
+
+
+class TestRampLength:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=ramp_configs(), method=st.sampled_from(["greg1", "greg2"]),
+           plan_text=st.sampled_from(["[0, 0.5, 0]", "[0, 0, 0]", "[0, 0.2, 0]"]))
+    def test_arithmetic_matches_ticking(self, cfg, method, plan_text):
+        # "[0, 0, 0]" and "[0, 0.2, 0]" on 4 units pick nothing
+        net = dense_net(hidden=(4, 3), seed=1)
+        plan = parse_pruning_plan(plan_text, 3)
+        if method == "greg2":
+            try:
+                state = greg2_init(net, plan, cfg)
+            except DomainError:
+                # rejected as unable to pick: ticking such a ramp never picks
+                state = greg1_init(net, parse_pruning_plan("[0, 0.5, 0]", 3), cfg)
+                state.method = "greg2"
+                while not is_prune_ready(state):
+                    state, _ = tick(state, net, cfg)
+                    assert state.phase != PICKED
+                return
+        else:
+            state = greg1_init(net, plan, cfg)
+        expected = ticks_to_done(state, cfg)
+        ticks = 0
+        while not is_prune_ready(state):
+            state, _ = tick(state, net, cfg)
+            ticks += 1
+        assert ticks == expected
+
+    def test_paper_greg2_length(self):
+        cfg = RegConfig(delta_lambda=1e-5, tau=1.0, tau_prime=0.01, k_update=10,
+                        k_stabilize=5000, post_pick_delta_lambda=1e-5)
+        assert ramp_length(cfg, "greg2") == 1_005_000
+        assert ramp_length(cfg, "greg2", pick_empty=True) == 1001 * 10 + 5000
+
+    def test_ramp_that_cannot_pick_rejected(self):
+        # lambda goes 0.4 -> 0.8: past tau before a boundary sees it above tau_prime
+        cfg = RegConfig(delta_lambda=0.4, tau=0.7, tau_prime=0.45)
+        assert ramp_length(cfg, "greg1") == 1 * 10 + 1
+        with pytest.raises(DomainError, match="never pick"):
+            ramp_length(cfg, "greg2")
+        with pytest.raises(DomainError, match="never pick"):
+            greg2_init(dense_net(), parse_pruning_plan("[0.5, 0]", 2), cfg)
