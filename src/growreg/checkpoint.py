@@ -19,11 +19,12 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .netcore import LayerSpec, Network, OptimState
 
 MAGIC = b"GREGCKPT"
@@ -91,8 +92,83 @@ def save_checkpoint(path, net: Network, opt: OptimState = None, reg_state=None):
     return data
 
 
+def _field(doc, key, kind, where):
+    """``doc[key]``, rejected unless it is present and of ``kind``.
+
+    ``kind`` is a type or tuple of types; JSON booleans never pass for
+    numbers.
+    """
+    if not isinstance(doc, dict) or key not in doc:
+        raise ConfigError(f"{where} lacks {key!r}")
+    val = doc[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
+        names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ConfigError(f"{where}: {key!r} is {val!r}, expected {names}")
+    return val
+
+
+def _ints(doc, key, where):
+    """``doc[key]`` as a list of non-negative ints."""
+    vals = _field(doc, key, list, where)
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in vals):
+        raise ConfigError(f"{where}: {key!r} is {vals!r}, expected non-negative ints")
+    return vals
+
+
+def _parse_header(text, path):
+    """Decode and type-check the JSON header; returns the checked document."""
+    try:
+        header = json.loads(text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint header ({exc})") from exc
+    where = f"{path}: checkpoint header"
+    _ints(header, "input_shape", where)
+    _field(header, "classes", int, where)
+    for l, spec in enumerate(_field(header, "layers", list, where)):
+        at = f"{where} layer {l}"
+        _field(spec, "kind", str, at)
+        _field(spec, "units", int, at)
+        if _field(spec, "kernel", (list, type(None)), at) is not None:
+            _ints(spec, "kernel", at)
+        _field(spec, "activation", str, at)
+        _field(spec, "prunable", bool, at)
+    for i, blob in enumerate(_field(header, "blobs", list, where)):
+        at = f"{where} blob {i}"
+        _field(blob, "name", str, at)
+        _ints(blob, "shape", at)
+        _field(blob, "dtype", str, at)
+    opt = _field(header, "optimizer", (dict, type(None)), where)
+    if opt is not None:
+        for key in ("learning_rate", "momentum", "base_decay"):
+            _field(opt, key, (int, float), f"{where} optimizer")
+    n_layers = len(header["layers"])
+    frozen = _ints(header, "frozen_layers", where)
+    if any(l >= n_layers for l in frozen):
+        raise ConfigError(f"{where}: frozen_layers {frozen} outside {n_layers} layers")
+    if "reg_state" not in header:
+        raise ConfigError(f"{where} lacks 'reg_state'")
+
+    expected = {}
+    for l in range(n_layers):
+        names = ["w", "b"] + (["vw", "vb"] if opt is not None else [])
+        expected.update((f"{n}{l}", "<f8") for n in names)
+    expected.update((f"fz{l}", "|u1") for l in frozen)
+    found = [(blob["name"], blob["dtype"]) for blob in header["blobs"]]
+    if sorted(found) != sorted(expected.items()):
+        raise ConfigError(
+            f"{where}: blobs {found} do not match the declared layers, "
+            f"expected {sorted(expected.items())}"
+        )
+    return header
+
+
 def load_checkpoint(path):
-    """Returns (network, optimizer-or-None, reg_state-doc-or-None)."""
+    """Returns (network, optimizer-or-None, reg_state-doc-or-None).
+
+    A malformed file raises ``ConfigError`` naming ``path``; one whose
+    weights are not finite raises ``NumericError``.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != MAGIC:
@@ -108,12 +184,12 @@ def load_checkpoint(path):
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<Q", raw[12:20])
     need(20 + hlen, "the JSON header")
-    header = json.loads(raw[20 : 20 + hlen].decode("utf-8"))
+    header = _parse_header(raw[20 : 20 + hlen], path)
     offset = 20 + hlen
     arrays = {}
     for blob in header["blobs"]:
         dt = np.dtype(blob["dtype"])
-        count = int(np.prod(blob["shape"])) if blob["shape"] else 1
+        count = math.prod(blob["shape"])
         nbytes = count * dt.itemsize
         need(offset + nbytes, f"blob {blob['name']}")
         arrays[blob["name"]] = np.frombuffer(
@@ -123,27 +199,31 @@ def load_checkpoint(path):
     if offset != len(raw):
         raise ConfigError(f"{path}: trailing bytes after declared blobs")
 
-    specs = [
-        LayerSpec(
-            kind=s["kind"],
-            units=s["units"],
-            kernel=tuple(s["kernel"]) if s["kernel"] else None,
-            activation=s["activation"],
-            prunable=s["prunable"],
-        )
-        for s in header["layers"]
-    ]
-    n_layers = len(specs)
-    weights = [arrays[f"w{l}"] for l in range(n_layers)]
-    biases = [arrays[f"b{l}"] for l in range(n_layers)]
+    n_layers = len(header["layers"])
     frozen = [None] * n_layers
     for l in header["frozen_layers"]:
         frozen[l] = arrays[f"fz{l}"].astype(bool)
-    net = Network(specs, header["input_shape"], header["classes"], weights, biases, frozen)
-    opt = None
-    if header["optimizer"] is not None:
-        o = header["optimizer"]
-        opt = OptimState(o["learning_rate"], o["momentum"], o["base_decay"])
+    o = header["optimizer"]
+    try:
+        specs = [
+            LayerSpec(
+                kind=s["kind"],
+                units=s["units"],
+                kernel=tuple(s["kernel"]) if s["kernel"] else None,
+                activation=s["activation"],
+                prunable=s["prunable"],
+            )
+            for s in header["layers"]
+        ]
+        weights = [arrays[f"w{l}"] for l in range(n_layers)]
+        biases = [arrays[f"b{l}"] for l in range(n_layers)]
+        net = Network(specs, header["input_shape"], header["classes"], weights,
+                      biases, frozen)
+        opt = None if o is None else OptimState(
+            o["learning_rate"], o["momentum"], o["base_decay"])
+    except InputError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if opt is not None:
         opt.vel_w = [arrays[f"vw{l}"] for l in range(n_layers)]
         opt.vel_b = [arrays[f"vb{l}"] for l in range(n_layers)]
     return net, opt, header["reg_state"]

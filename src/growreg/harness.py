@@ -17,6 +17,7 @@ Accuracies are fractions in [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,14 +39,23 @@ from .groups import (
     parse_pruning_plan,
     random_prune_set,
     select_prune_set,
+    selection_counts,
     sparsity,
 )
-from .netcore import Network, OptimState, accuracy, loss_and_grads, sgd_step
+from .netcore import (
+    Network,
+    OptimState,
+    accuracy,
+    loss_and_grads,
+    sgd_step,
+    weight_shapes,
+)
 from .scheduler import (
     DONE,
     GROWING,
     RegConfig,
     RegState,
+    eligible_layers,
     greg1_init,
     greg2_init,
     is_prune_ready,
@@ -189,20 +199,23 @@ def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
 
     ``penalties(step)``, called before each batch is drawn, returns the
     per-layer penalty factors for that step (uniform ``base_decay`` when
-    absent); ``on_step(step, loss)`` runs after each update.
+    absent); ``on_step(step, loss)`` runs after each update. A diverging
+    run raises ``NumericError`` from the step's finiteness checks; numpy's
+    floating-point warnings on the way there are silenced.
     """
     opt = OptimState.for_network(
         net, sched.lr_at(0), momentum=sched.momentum, base_decay=base_decay
     )
     batches = data.batches(sched.batch_size, rng)
-    for step in range(sched.steps):
-        opt.learning_rate = sched.lr_at(step)
-        lambdas = penalties(step) if penalties is not None else None
-        x, y = next(batches)
-        loss, grads = loss_and_grads(net, x, y)
-        sgd_step(net, grads, opt, lambdas)
-        if on_step is not None:
-            on_step(step, loss)
+    with np.errstate(all="ignore"):
+        for step in range(sched.steps):
+            opt.learning_rate = sched.lr_at(step)
+            lambdas = penalties(step) if penalties is not None else None
+            x, y = next(batches)
+            loss, grads = loss_and_grads(net, x, y)
+            sgd_step(net, grads, opt, lambdas)
+            if on_step is not None:
+                on_step(step, loss)
     return net
 
 
@@ -247,17 +260,40 @@ def _snapshot(record, it, net, granularity, prunable_layers):
             record.snapshots.append((it, l, vec / peak))
 
 
-def _run_reg_phase(net, data, exp, state, record, control=False):
-    """Drive the scheduler to done, one SGD step per tick; returns the ticks.
+def _ramp_ticks(exp, plan, initial_mask=None):
+    """Ticks the ramp of ``exp`` runs, from the config alone, within budget.
 
-    ``control`` trains the same ticks under the uniform base decay instead.
+    Equals :func:`ticks_to_done` of the state the method initializes: 0
+    when greg1's prune set, or greg2's set of eligible layers, is empty,
+    and the shorter greg2 ramp when its pick selects nothing. Raises
+    ``BudgetExceededError`` above ``reg_max_iters``, before any training.
     """
-    ticks = ticks_to_done(state, exp.reg)
+    if exp.granularity == "filter":
+        counts = [spec.units for spec in exp.layers]
+    else:
+        counts = [math.prod(s) for s in weight_shapes(exp.layers, exp.input_shape)]
+    picks = selection_counts(plan, counts)
+    if exp.method == "greg2":
+        ramped = bool(eligible_layers(exp.layers, plan))
+    else:
+        ramped = any(picks if initial_mask is None else initial_mask.pruned_counts())
+    ticks = ramp_length(exp.reg, exp.method, pick_empty=not any(picks)) if ramped else 0
     if ticks > exp.reg_max_iters:
         raise BudgetExceededError(
             f"regularization phase needs {ticks} iterations, over "
             f"reg_max_iters {exp.reg_max_iters}"
         )
+    return ticks
+
+
+def _run_reg_phase(net, data, exp, state, record, ticks, control=False):
+    """Drive the scheduler to done in ``ticks`` SGD steps, one per tick.
+
+    ``control`` trains the same ticks under the uniform base decay instead.
+    """
+    needed = ticks_to_done(state, exp.reg)
+    if ticks != needed:
+        raise ScheduleError(f"ramp planned for {ticks} ticks, the schedule needs {needed}")
 
     def penalties(step):
         _, lam_groups = tick(state, net, exp.reg)
@@ -275,7 +311,6 @@ def _run_reg_phase(net, data, exp, state, record, control=False):
            None if control else penalties, on_step)
     if not (control or is_prune_ready(state)):
         raise ScheduleError(f"schedule not done after {ticks} ticks (phase {state.phase})")
-    return ticks
 
 
 def _init_state(exp, net, plan, initial_mask):
@@ -300,18 +335,30 @@ def run_method(
     methods run the scheduler to done first, prune exactly the recorded
     set, then fine-tune under the shared schedule. ``initial_mask``
     overrides the selection step (used by the shared-random-set protocol).
+    A ``baseline`` must have the configured topology, and a ramp over
+    ``reg_max_iters`` is rejected before pretraining.
     """
     data = data or build_dataset(exp)
     if data.classes != exp.classes:
         raise ConfigError(
             f"dataset has {data.classes} classes, network expects {exp.classes}"
         )
+    if baseline is not None:
+        have = (tuple(baseline.layers), baseline.input_shape, baseline.classes)
+        want = (exp.layers, exp.input_shape, exp.classes)
+        if have != want:
+            raise ConfigError(
+                f"baseline topology ({_topology(*have)}) differs from the "
+                f"config's ({_topology(*want)})"
+            )
+    plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
+    ramped = exp.method in ("greg1", "greg2")
+    reg_ticks = _ramp_ticks(exp, plan, initial_mask) if ramped else 0
     net = (baseline or pretrain(exp, data)).clone()
-    plan = parse_pruning_plan(exp.plan, len(net.layers), exp.granularity)
     record = ExperimentRecord(n_layers=len(net.layers))
     baseline_acc = accuracy(net, data.val_x, data.val_y)
 
-    if exp.method in ("oneshot_l1", "random_subset"):
+    if not ramped:
         if initial_mask is not None:
             mask = initial_mask
         elif exp.method == "oneshot_l1":
@@ -319,11 +366,10 @@ def run_method(
         else:
             mask = random_prune_set(net, plan, seed=[exp.seed, 3])
         pre_prune_acc = baseline_acc
-        reg_ticks = 0
         state = None
     else:
         state = _init_state(exp, net, plan, initial_mask)
-        reg_ticks = _run_reg_phase(net, data, exp, state, record)
+        _run_reg_phase(net, data, exp, state, record, reg_ticks)
         mask = state.prune_mask()
         pre_prune_acc = accuracy(net, data.val_x, data.val_y)
 
@@ -354,6 +400,16 @@ def run_method(
         suppression_stats(net, state) if state is not None else {}
     )
     return record
+
+
+def _topology(layers, input_shape, classes):
+    """One-line description of a network's shape, for error messages."""
+    parts = ["input " + "x".join(map(str, input_shape))]
+    for s in layers:
+        kernel = f" {s.kernel[0]}x{s.kernel[1]}" if s.kernel else ""
+        fixed = "" if s.prunable else " unprunable"
+        parts.append(f"{s.kind} {s.units}{kernel} {s.activation}{fixed}")
+    return " -> ".join(parts) + f", {classes} classes"
 
 
 def suppression_stats(net: Network, state: RegState) -> dict:
@@ -476,12 +532,13 @@ def track_separation(exp: ExperimentConfig, control: bool = False) -> Experiment
     same number of ticks under the uniform base decay, isolating what the
     growing penalty adds.
     """
+    exp = replace(exp, method="greg2")
+    plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
+    ticks = _ramp_ticks(exp, plan)
     data = build_dataset(exp)
     net = pretrain(exp, data).clone()
     record = ExperimentRecord(n_layers=len(net.layers))
-    exp = replace(exp, method="greg2")
-    plan = parse_pruning_plan(exp.plan, len(net.layers), exp.granularity)
     state = greg2_init(net, plan, exp.reg)
-    ticks = _run_reg_phase(net, data, exp, state, record, control)
+    _run_reg_phase(net, data, exp, state, record, ticks, control)
     record.summary = {"mode": "control" if control else "greg2", "ticks": ticks}
     return record

@@ -81,16 +81,9 @@ class Network:
     def initialize(cls, layers, input_shape, classes, seed=0):
         """He-style fan-in init with a seeded generator; biases start at zero."""
         rng = np.random.default_rng(seed)
-        shapes = _infer_shapes(layers, input_shape)
         weights, biases = [], []
-        for spec, in_shape in zip(layers, shapes):
-            if spec.kind == "dense":
-                fan_in = int(np.prod(in_shape))
-                w_shape = (fan_in, spec.units)
-            else:
-                c = in_shape[0]
-                fan_in = c * spec.kernel[0] * spec.kernel[1]
-                w_shape = (spec.units, c, *spec.kernel)
+        for spec, w_shape in zip(layers, weight_shapes(layers, input_shape)):
+            fan_in = w_shape[0] if spec.kind == "dense" else int(np.prod(w_shape[1:]))
             scale = np.sqrt(2.0 / fan_in)
             weights.append(rng.standard_normal(w_shape) * scale)
             biases.append(np.zeros(spec.units))
@@ -100,12 +93,9 @@ class Network:
         if not self.layers:
             raise DimensionError("network needs at least one layer")
         shapes = _infer_shapes(self.layers, self.input_shape)
-        for l, (spec, in_shape) in enumerate(zip(self.layers, shapes)):
+        expected = weight_shapes(self.layers, self.input_shape)
+        for l, (spec, expect) in enumerate(zip(self.layers, expected)):
             w, b = self.weights[l], self.biases[l]
-            if spec.kind == "dense":
-                expect = (int(np.prod(in_shape)), spec.units)
-            else:
-                expect = (spec.units, in_shape[0], *spec.kernel)
             if w.shape != expect:
                 raise DimensionError(
                     f"layer {l} weight shape {w.shape}, expected {expect}"
@@ -168,6 +158,15 @@ def _infer_shapes(layers, input_shape):
                 )
             current = (spec.units, oh, ow)
     return shapes
+
+
+def weight_shapes(layers, input_shape):
+    """Per-layer weight shapes: ``(fan_in, units)`` or ``(f, c, kh, kw)``."""
+    return [
+        (int(np.prod(in_shape)), spec.units) if spec.kind == "dense"
+        else (spec.units, in_shape[0], *spec.kernel)
+        for spec, in_shape in zip(layers, _infer_shapes(layers, input_shape))
+    ]
 
 
 # -- forward / backward ----------------------------------------------------
@@ -245,9 +244,12 @@ def softmax_cross_entropy(logits, labels):
 def loss_and_grads(net: Network, batch, labels):
     """Task loss and its exact gradients (no penalty term).
 
-    Backward walks the cached activations layer by layer; conv input
-    gradients are computed as a full correlation of the upstream gradient
-    with the spatially flipped kernels.
+    Backward walks the cached activations from the last layer down and
+    stops after layer 0's weight and bias gradients, since nothing reads
+    the gradient with respect to the input batch. A conv layer's input
+    gradient is col2im: the upstream gradient times the kernel matrix gives
+    one column of input-patch gradients per output position, and each of
+    the ``kh * kw`` kernel offsets is scatter-added into the input map.
     """
     logits, cache = forward(net, batch)
     loss, dout = softmax_cross_entropy(logits, labels)
@@ -259,19 +261,26 @@ def loss_and_grads(net: Network, batch, labels):
         spec, w, entry = net.layers[l], net.weights[l], cache[l]
         dz = dout * (entry["z"] > 0) if spec.activation == "relu" else dout
         if spec.kind == "dense":
-            x2 = entry["x2"]
-            d_w[l] = x2.T @ dz
+            d_w[l] = entry["x2"].T @ dz
             d_b[l] = dz.sum(axis=0)
-            dout = (dz @ w.T).reshape(entry["x"].shape)
+            if l > 0:
+                dout = (dz @ w.T).reshape(entry["x"].shape)
         else:
             b, f, oh, ow = dz.shape
             dz_mat = dz.transpose(0, 2, 3, 1).reshape(b * oh * ow, f)
             d_w[l] = (dz_mat.T @ entry["cols"]).reshape(w.shape)
             d_b[l] = dz.sum(axis=(0, 2, 3))
-            kh, kw = spec.kernel
-            dz_pad = np.pad(dz, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            w_rot = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            dout, _ = _conv_forward(dz_pad, np.ascontiguousarray(w_rot))
+            if l > 0:
+                _, c, h, wd = entry["x"].shape
+                kh, kw = spec.kernel
+                # channels-last so each offset adds contiguous channel rows
+                w_mat = w.transpose(0, 2, 3, 1).reshape(f, -1)
+                dcols = (dz_mat @ w_mat).reshape(b, oh, ow, kh, kw, c)
+                dx = np.zeros((b, h, wd, c))
+                for i in range(kh):
+                    for j in range(kw):
+                        dx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
+                dout = dx.transpose(0, 3, 1, 2)
     grads = GradBuffer(weights=d_w, biases=d_b)
     for g in grads.weights + grads.biases:
         if not np.all(np.isfinite(g)):

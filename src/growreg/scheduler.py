@@ -125,10 +125,11 @@ class RegState:
         return Mask(granularity=self.granularity, flags=flags)
 
 
-def _eligible_layers(net: Network, plan: PruningPlan):
+def eligible_layers(layers, plan: PruningPlan):
+    """Indices of the layers a ramp may penalize: prunable, not protected."""
     return [
         l
-        for l, spec in enumerate(net.layers)
+        for l, spec in enumerate(layers)
         if spec.prunable and l not in plan.never_prune
     ]
 
@@ -153,7 +154,7 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
         plan=plan,
         prune_sets=prune_sets,
         kept_sets=_empty_sets(len(net.layers)),
-        eligible_layers=_eligible_layers(net, plan),
+        eligible_layers=eligible_layers(net.layers, plan),
     )
     state._counts = group_counts(net, plan.granularity)
     if state.prune_set_size() == 0:
@@ -166,7 +167,7 @@ def greg2_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
     ramp_length(cfg, "greg2")  # rejects ramps that cannot pick
     validate_plan_against(net, plan)
     counts = group_counts(net, plan.granularity)
-    eligible = _eligible_layers(net, plan)
+    eligible = eligible_layers(net.layers, plan)
     prune_sets = [
         np.arange(counts[l], dtype=int) if l in eligible else np.zeros(0, dtype=int)
         for l in range(len(net.layers))

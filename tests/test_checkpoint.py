@@ -1,5 +1,7 @@
 """Binary container round trips and byte-level stability."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,23 @@ def test_every_truncation_rejected(tmp_path):
         else:
             loaded, opt, _ = load_checkpoint(path)
             assert checkpoint_bytes(loaded, opt) == raw
+
+
+def test_every_header_bit_flip_rejected_or_identical(tmp_path):
+    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=16)
+    net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
+    raw = checkpoint_bytes(net)
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    path = tmp_path / "flip.ckpt"
+    for pos in range(20, 20 + hlen):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded, opt, reg = load_checkpoint(path)
+            except ConfigError as exc:
+                assert "flip.ckpt" in str(exc), (pos, bit)
+                continue
+            assert (opt, reg) == (None, None), (pos, bit)
+            assert checkpoint_bytes(loaded) == raw, (pos, bit)

@@ -146,6 +146,21 @@ class TestPipelineCommands:
         )
         assert result.exit_code == 0, result.output
 
+    def test_run_rejects_baseline_of_other_topology(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path)
+        base = tmp_path / "base"
+        runner.invoke(main, ["pretrain", "--config", str(cfg), "--out", str(base)])
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["net"]["layers"][0]["units"] = 16
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                   "--baseline", str(base / "baseline.ckpt")]
+        )
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+        assert "dense 12 relu" in result.output and "dense 16 relu" in result.output
+
     def test_run_byte_identical_records(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)
         outs = []

@@ -1,5 +1,6 @@
 """Datasets and end-to-end pipelines at quick desk settings."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,14 @@ from conftest import mlp_specs
 from growreg import harness
 from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
-from growreg.errors import BudgetExceededError, ConfigError, DomainError
-from growreg.groups import Mask, apply_hard_prune, group_counts
+from growreg.errors import BudgetExceededError, ConfigError, DomainError, NumericError
+from growreg.groups import (
+    Mask,
+    PruningPlan,
+    apply_hard_prune,
+    group_counts,
+    parse_pruning_plan,
+)
 from growreg.harness import (
     ExperimentConfig,
     PhaseSchedule,
@@ -22,7 +29,7 @@ from growreg.harness import (
     track_separation,
 )
 from growreg.netcore import LayerSpec, Network, accuracy
-from growreg.scheduler import RegConfig
+from growreg.scheduler import RegConfig, ticks_to_done
 
 QUICK_REG = RegConfig(delta_lambda=5e-3, tau=0.1, tau_prime=0.02, k_update=2,
                       k_stabilize=40, base_decay=5e-4)
@@ -187,10 +194,51 @@ class TestRunMethod:
         def no_tick(*args):
             raise AssertionError("ticked an over-budget ramp")
 
+        def no_pretrain(*args):
+            raise AssertionError("pretrained for an over-budget ramp")
+
         monkeypatch.setattr(harness, "tick", no_tick)
+        monkeypatch.setattr(harness, "pretrain", no_pretrain)
         exp = replace(quick_config(), reg_max_iters=5)
         with pytest.raises(BudgetExceededError, match="reg_max_iters 5"):
             run_method(exp)
+
+    @pytest.mark.parametrize("granularity", ["filter", "weight"])
+    @pytest.mark.parametrize("method", ["greg1", "greg2"])
+    @pytest.mark.parametrize("ratios, never_prune", [
+        ((0, 0.5, 0), None),
+        ((0, 0, 0), None),
+        ((0, 0.05, 0), None),  # no filter picked out of 12, some weights
+        ((0.25, 0, 0), frozenset()),
+        ((0, 0, 0), frozenset({0, 1})),  # nothing under the ramp
+    ])
+    def test_ramp_ticks_from_config_match_initialized_state(
+            self, granularity, method, ratios, never_prune):
+        exp = replace(quick_config(method=method), granularity=granularity)
+        net = harness.build_network(exp)
+        plan = PruningPlan(ratios, granularity, never_prune)
+        state = harness._init_state(exp, net, plan, None)
+        assert harness._ramp_ticks(exp, plan) == ticks_to_done(state, exp.reg)
+
+    def test_ramp_ticks_follow_a_shared_mask(self):
+        exp = quick_config()
+        plan = parse_pruning_plan(exp.plan, 3)
+        net = harness.build_network(exp)
+        for pruned in (0, 3):
+            flags = [np.ones(n, dtype=np.uint8) for n in group_counts(net, "filter")]
+            flags[1][:pruned] = 0
+            mask = Mask("filter", flags)
+            state = harness._init_state(exp, net, plan, mask)
+            expected = schedule_length(exp) if pruned else 0
+            assert harness._ramp_ticks(exp, plan, mask) == ticks_to_done(state, exp.reg) == expected
+
+    def test_divergence_raises_numeric_error_without_warnings(self):
+        exp = quick_config(pre_steps=50)
+        exp = replace(exp, pretrain=replace(exp.pretrain, milestones=((0, 1e4),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                pretrain(exp)
 
     def test_greg2_that_cannot_pick_rejected_at_build(self):
         reg = RegConfig(delta_lambda=0.4, tau=0.7, tau_prime=0.45)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import mlp_specs, small_conv_net
 from growreg.errors import DimensionError, DomainError, NumericError
@@ -14,6 +15,7 @@ from growreg.netcore import (
     forward,
     loss_and_grads,
     sgd_step,
+    softmax_cross_entropy,
 )
 
 
@@ -35,6 +37,42 @@ def finite_diff_worst_rel(net, x, y, grads, rng, samples=20, eps=1e-5):
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
         worst = max(worst, rel)
     return worst
+
+
+def reference_grads(net, x, y):
+    """Backward written independently of netcore's im2col: weight gradients
+    by einsum over sliding windows, conv input gradients as the full
+    correlation of the zero-padded upstream gradient with flipped kernels."""
+    logits, cache = forward(net, x)
+    _, dout = softmax_cross_entropy(logits, y)
+    d_w, d_b = [None] * len(net.layers), [None] * len(net.layers)
+    for l in reversed(range(len(net.layers))):
+        spec, w, entry = net.layers[l], net.weights[l], cache[l]
+        dz = dout * (entry["z"] > 0) if spec.activation == "relu" else dout
+        if spec.kind == "dense":
+            d_w[l] = entry["x2"].T @ dz
+            d_b[l] = dz.sum(axis=0)
+            dout = (dz @ w.T).reshape(entry["x"].shape)
+            continue
+        kh, kw = spec.kernel
+        win = sliding_window_view(entry["x"], (kh, kw), axis=(2, 3))
+        d_w[l] = np.einsum("bfij,bcijkl->fckl", dz, win)
+        d_b[l] = dz.sum(axis=(0, 2, 3))
+        dz_pad = np.pad(dz, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+        pwin = sliding_window_view(dz_pad, (kh, kw), axis=(2, 3))
+        dout = np.einsum("bfijkl,fckl->bcij", pwin, w[:, :, ::-1, ::-1])
+    return d_w, d_b
+
+
+def rect_conv_net(seed):
+    """conv (3, 2) -> conv (2, 3) -> dense on 2-channel 7x6 inputs."""
+    layers = (
+        LayerSpec("conv2d", 3, kernel=(3, 2)),
+        LayerSpec("conv2d", 4, kernel=(2, 3)),
+        LayerSpec("dense", 5),
+        LayerSpec("dense", 3, activation="none", prunable=False),
+    )
+    return Network.initialize(layers, (2, 7, 6), 3, seed=seed)
 
 
 class TestLayerSpec:
@@ -140,6 +178,37 @@ class TestLossAndGrads:
         y = rng.integers(0, 3, 4)
         _, grads = loss_and_grads(net, x, y)
         assert finite_diff_worst_rel(net, x, y, grads, rng) < 1e-5
+
+    def test_conv_backward_matches_full_correlation_reference(self, rng):
+        for seed in range(3):
+            net = rect_conv_net(seed)
+            x = rng.standard_normal((5, 2, 7, 6))
+            y = rng.integers(0, 3, 5)
+            _, grads = loss_and_grads(net, x, y)
+            ref_w, ref_b = reference_grads(net, x, y)
+            for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_conv_backward_matches_central_differences_everywhere(self, rng):
+        net = rect_conv_net(seed=7)
+        x = rng.standard_normal((4, 2, 7, 6))
+        y = rng.integers(0, 3, 4)
+        _, grads = loss_and_grads(net, x, y)
+        eps, worst = 1e-5, 0.0
+        for params, analytic in ((net.weights, grads.weights), (net.biases, grads.biases)):
+            for p, g in zip(params, analytic):
+                for idx in np.ndindex(p.shape):
+                    orig = p[idx]
+                    p[idx] = orig + eps
+                    lp = softmax_cross_entropy(forward(net, x)[0], y)[0]
+                    p[idx] = orig - eps
+                    lm = softmax_cross_entropy(forward(net, x)[0], y)[0]
+                    p[idx] = orig
+                    numeric = (lp - lm) / (2 * eps)
+                    worst = max(worst, abs(numeric - g[idx])
+                                / max(abs(numeric), abs(g[idx]), 1e-8))
+        assert worst < 1e-5
 
     def test_separable_large_margin_loss_vanishes(self):
         net = Network(
