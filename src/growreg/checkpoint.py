@@ -226,4 +226,12 @@ def load_checkpoint(path):
     if opt is not None:
         opt.vel_w = [arrays[f"vw{l}"] for l in range(n_layers)]
         opt.vel_b = [arrays[f"vb{l}"] for l in range(n_layers)]
+        for l in range(n_layers):
+            have = (opt.vel_w[l].shape, opt.vel_b[l].shape)
+            want = (net.weights[l].shape, net.biases[l].shape)
+            if have != want:
+                raise ConfigError(
+                    f"{path}: layer {l} velocity shapes {have} differ from "
+                    f"its parameter shapes {want}"
+                )
     return net, opt, header["reg_state"]

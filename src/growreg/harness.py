@@ -17,7 +17,6 @@ Accuracies are fractions in [0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,23 +38,14 @@ from .groups import (
     parse_pruning_plan,
     random_prune_set,
     select_prune_set,
-    selection_counts,
     sparsity,
 )
-from .netcore import (
-    Network,
-    OptimState,
-    accuracy,
-    loss_and_grads,
-    sgd_step,
-    weight_shapes,
-)
+from .netcore import Network, OptimState, accuracy, loss_and_grads, sgd_step
 from .scheduler import (
     DONE,
     GROWING,
     RegConfig,
     RegState,
-    eligible_layers,
     greg1_init,
     greg2_init,
     is_prune_ready,
@@ -201,21 +191,22 @@ def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
     per-layer penalty factors for that step (uniform ``base_decay`` when
     absent); ``on_step(step, loss)`` runs after each update. A diverging
     run raises ``NumericError`` from the step's finiteness checks; numpy's
-    floating-point warnings on the way there are silenced.
+    floating-point warnings from the step math on the way there are
+    silenced.
     """
     opt = OptimState.for_network(
         net, sched.lr_at(0), momentum=sched.momentum, base_decay=base_decay
     )
     batches = data.batches(sched.batch_size, rng)
-    with np.errstate(all="ignore"):
-        for step in range(sched.steps):
-            opt.learning_rate = sched.lr_at(step)
-            lambdas = penalties(step) if penalties is not None else None
-            x, y = next(batches)
+    for step in range(sched.steps):
+        opt.learning_rate = sched.lr_at(step)
+        lambdas = penalties(step) if penalties is not None else None
+        x, y = next(batches)
+        with np.errstate(all="ignore"):
             loss, grads = loss_and_grads(net, x, y)
             sgd_step(net, grads, opt, lambdas)
-            if on_step is not None:
-                on_step(step, loss)
+        if on_step is not None:
+            on_step(step, loss)
     return net
 
 
@@ -260,41 +251,11 @@ def _snapshot(record, it, net, granularity, prunable_layers):
             record.snapshots.append((it, l, vec / peak))
 
 
-def _ramp_ticks(exp, plan, initial_mask=None):
-    """Ticks the ramp of ``exp`` runs, from the config alone, within budget.
-
-    Equals :func:`ticks_to_done` of the state the method initializes: 0
-    when greg1's prune set, or greg2's set of eligible layers, is empty,
-    and the shorter greg2 ramp when its pick selects nothing. Raises
-    ``BudgetExceededError`` above ``reg_max_iters``, before any training.
-    """
-    if exp.granularity == "filter":
-        counts = [spec.units for spec in exp.layers]
-    else:
-        counts = [math.prod(s) for s in weight_shapes(exp.layers, exp.input_shape)]
-    picks = selection_counts(plan, counts)
-    if exp.method == "greg2":
-        ramped = bool(eligible_layers(exp.layers, plan))
-    else:
-        ramped = any(picks if initial_mask is None else initial_mask.pruned_counts())
-    ticks = ramp_length(exp.reg, exp.method, pick_empty=not any(picks)) if ramped else 0
-    if ticks > exp.reg_max_iters:
-        raise BudgetExceededError(
-            f"regularization phase needs {ticks} iterations, over "
-            f"reg_max_iters {exp.reg_max_iters}"
-        )
-    return ticks
-
-
 def _run_reg_phase(net, data, exp, state, record, ticks, control=False):
     """Drive the scheduler to done in ``ticks`` SGD steps, one per tick.
 
     ``control`` trains the same ticks under the uniform base decay instead.
     """
-    needed = ticks_to_done(state, exp.reg)
-    if ticks != needed:
-        raise ScheduleError(f"ramp planned for {ticks} ticks, the schedule needs {needed}")
-
     def penalties(step):
         _, lam_groups = tick(state, net, exp.reg)
         return dict(enumerate(expand_group_values(net, state.granularity, lam_groups)))
@@ -321,6 +282,23 @@ def _init_state(exp, net, plan, initial_mask):
         state.prune_sets = [np.flatnonzero(f == 0) for f in initial_mask.flags]
         state.phase = GROWING if state.prune_set_size() > 0 else DONE
     return state
+
+
+def _reg_ticks(exp, plan, initial_mask=None):
+    """Ticks the ramp of ``exp`` runs; ``BudgetExceededError`` over budget.
+
+    The count depends only on the network's shapes, so it is taken from
+    the state an untrained network of the configured topology initializes,
+    before any training.
+    """
+    state = _init_state(exp, build_network(exp), plan, initial_mask)
+    ticks = ticks_to_done(state, exp.reg)
+    if ticks > exp.reg_max_iters:
+        raise BudgetExceededError(
+            f"regularization phase needs {ticks} iterations, over "
+            f"reg_max_iters {exp.reg_max_iters}"
+        )
+    return ticks
 
 
 def run_method(
@@ -353,7 +331,7 @@ def run_method(
             )
     plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
     ramped = exp.method in ("greg1", "greg2")
-    reg_ticks = _ramp_ticks(exp, plan, initial_mask) if ramped else 0
+    reg_ticks = _reg_ticks(exp, plan, initial_mask) if ramped else 0
     net = (baseline or pretrain(exp, data)).clone()
     record = ExperimentRecord(n_layers=len(net.layers))
     baseline_acc = accuracy(net, data.val_x, data.val_y)
@@ -534,7 +512,7 @@ def track_separation(exp: ExperimentConfig, control: bool = False) -> Experiment
     """
     exp = replace(exp, method="greg2")
     plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
-    ticks = _ramp_ticks(exp, plan)
+    ticks = _reg_ticks(exp, plan)
     data = build_dataset(exp)
     net = pretrain(exp, data).clone()
     record = ExperimentRecord(n_layers=len(net.layers))

@@ -81,9 +81,16 @@ class Network:
     def initialize(cls, layers, input_shape, classes, seed=0):
         """He-style fan-in init with a seeded generator; biases start at zero."""
         rng = np.random.default_rng(seed)
+        shapes = _infer_shapes(layers, input_shape)
         weights, biases = [], []
-        for spec, w_shape in zip(layers, weight_shapes(layers, input_shape)):
-            fan_in = w_shape[0] if spec.kind == "dense" else int(np.prod(w_shape[1:]))
+        for spec, in_shape in zip(layers, shapes):
+            if spec.kind == "dense":
+                fan_in = int(np.prod(in_shape))
+                w_shape = (fan_in, spec.units)
+            else:
+                c = in_shape[0]
+                fan_in = c * spec.kernel[0] * spec.kernel[1]
+                w_shape = (spec.units, c, *spec.kernel)
             scale = np.sqrt(2.0 / fan_in)
             weights.append(rng.standard_normal(w_shape) * scale)
             biases.append(np.zeros(spec.units))
@@ -93,9 +100,12 @@ class Network:
         if not self.layers:
             raise DimensionError("network needs at least one layer")
         shapes = _infer_shapes(self.layers, self.input_shape)
-        expected = weight_shapes(self.layers, self.input_shape)
-        for l, (spec, expect) in enumerate(zip(self.layers, expected)):
+        for l, (spec, in_shape) in enumerate(zip(self.layers, shapes)):
             w, b = self.weights[l], self.biases[l]
+            if spec.kind == "dense":
+                expect = (int(np.prod(in_shape)), spec.units)
+            else:
+                expect = (spec.units, in_shape[0], *spec.kernel)
             if w.shape != expect:
                 raise DimensionError(
                     f"layer {l} weight shape {w.shape}, expected {expect}"
@@ -158,15 +168,6 @@ def _infer_shapes(layers, input_shape):
                 )
             current = (spec.units, oh, ow)
     return shapes
-
-
-def weight_shapes(layers, input_shape):
-    """Per-layer weight shapes: ``(fan_in, units)`` or ``(f, c, kh, kw)``."""
-    return [
-        (int(np.prod(in_shape)), spec.units) if spec.kind == "dense"
-        else (spec.units, in_shape[0], *spec.kernel)
-        for spec, in_shape in zip(layers, _infer_shapes(layers, input_shape))
-    ]
 
 
 # -- forward / backward ----------------------------------------------------

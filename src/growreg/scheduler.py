@@ -125,11 +125,10 @@ class RegState:
         return Mask(granularity=self.granularity, flags=flags)
 
 
-def eligible_layers(layers, plan: PruningPlan):
-    """Indices of the layers a ramp may penalize: prunable, not protected."""
+def _eligible_layers(net: Network, plan: PruningPlan):
     return [
         l
-        for l, spec in enumerate(layers)
+        for l, spec in enumerate(net.layers)
         if spec.prunable and l not in plan.never_prune
     ]
 
@@ -154,7 +153,7 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
         plan=plan,
         prune_sets=prune_sets,
         kept_sets=_empty_sets(len(net.layers)),
-        eligible_layers=eligible_layers(net.layers, plan),
+        eligible_layers=_eligible_layers(net, plan),
     )
     state._counts = group_counts(net, plan.granularity)
     if state.prune_set_size() == 0:
@@ -167,7 +166,7 @@ def greg2_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
     ramp_length(cfg, "greg2")  # rejects ramps that cannot pick
     validate_plan_against(net, plan)
     counts = group_counts(net, plan.granularity)
-    eligible = eligible_layers(net.layers, plan)
+    eligible = _eligible_layers(net, plan)
     prune_sets = [
         np.arange(counts[l], dtype=int) if l in eligible else np.zeros(0, dtype=int)
         for l in range(len(net.layers))

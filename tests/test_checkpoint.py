@@ -1,5 +1,6 @@
 """Binary container round trips and byte-level stability."""
 
+import json
 import struct
 
 import numpy as np
@@ -94,6 +95,21 @@ def test_every_truncation_rejected(tmp_path):
         else:
             loaded, opt, _ = load_checkpoint(path)
             assert checkpoint_bytes(loaded, opt) == raw
+
+
+def test_velocity_of_other_shape_rejected(tmp_path):
+    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=17)
+    raw = checkpoint_bytes(net, OptimState.for_network(net, 0.01))
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20 : 20 + hlen])
+    blob = next(b for b in header["blobs"] if b["name"] == "vw0")
+    assert blob["shape"] == [2, 3]
+    blob["shape"] = [6]  # same byte count, other shape
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "vel.ckpt"
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + hlen :])
+    with pytest.raises(ConfigError, match="vel.ckpt: layer 0 velocity shapes"):
+        load_checkpoint(path)
 
 
 def test_every_header_bit_flip_rejected_or_identical(tmp_path):

@@ -11,13 +11,7 @@ from growreg import harness
 from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
 from growreg.errors import BudgetExceededError, ConfigError, DomainError, NumericError
-from growreg.groups import (
-    Mask,
-    PruningPlan,
-    apply_hard_prune,
-    group_counts,
-    parse_pruning_plan,
-)
+from growreg.groups import Mask, apply_hard_prune, group_counts
 from growreg.harness import (
     ExperimentConfig,
     PhaseSchedule,
@@ -29,7 +23,7 @@ from growreg.harness import (
     track_separation,
 )
 from growreg.netcore import LayerSpec, Network, accuracy
-from growreg.scheduler import RegConfig, ticks_to_done
+from growreg.scheduler import RegConfig
 
 QUICK_REG = RegConfig(delta_lambda=5e-3, tau=0.1, tau_prime=0.02, k_update=2,
                       k_stabilize=40, base_decay=5e-4)
@@ -202,35 +196,6 @@ class TestRunMethod:
         exp = replace(quick_config(), reg_max_iters=5)
         with pytest.raises(BudgetExceededError, match="reg_max_iters 5"):
             run_method(exp)
-
-    @pytest.mark.parametrize("granularity", ["filter", "weight"])
-    @pytest.mark.parametrize("method", ["greg1", "greg2"])
-    @pytest.mark.parametrize("ratios, never_prune", [
-        ((0, 0.5, 0), None),
-        ((0, 0, 0), None),
-        ((0, 0.05, 0), None),  # no filter picked out of 12, some weights
-        ((0.25, 0, 0), frozenset()),
-        ((0, 0, 0), frozenset({0, 1})),  # nothing under the ramp
-    ])
-    def test_ramp_ticks_from_config_match_initialized_state(
-            self, granularity, method, ratios, never_prune):
-        exp = replace(quick_config(method=method), granularity=granularity)
-        net = harness.build_network(exp)
-        plan = PruningPlan(ratios, granularity, never_prune)
-        state = harness._init_state(exp, net, plan, None)
-        assert harness._ramp_ticks(exp, plan) == ticks_to_done(state, exp.reg)
-
-    def test_ramp_ticks_follow_a_shared_mask(self):
-        exp = quick_config()
-        plan = parse_pruning_plan(exp.plan, 3)
-        net = harness.build_network(exp)
-        for pruned in (0, 3):
-            flags = [np.ones(n, dtype=np.uint8) for n in group_counts(net, "filter")]
-            flags[1][:pruned] = 0
-            mask = Mask("filter", flags)
-            state = harness._init_state(exp, net, plan, mask)
-            expected = schedule_length(exp) if pruned else 0
-            assert harness._ramp_ticks(exp, plan, mask) == ticks_to_done(state, exp.reg) == expected
 
     def test_divergence_raises_numeric_error_without_warnings(self):
         exp = quick_config(pre_steps=50)
