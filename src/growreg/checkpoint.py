@@ -166,8 +166,10 @@ def _parse_header(text, path):
 def load_checkpoint(path):
     """Returns (network, optimizer-or-None, reg_state-doc-or-None).
 
-    A malformed file raises ``ConfigError`` naming ``path``; one whose
-    weights are not finite raises ``NumericError``.
+    A malformed file raises ``ConfigError`` naming ``path``. That includes
+    a float blob (weights, biases or velocities) holding a NaN or an
+    infinity, which names the blob too. Blobs carry no checksum, so any
+    other corrupted value loads as written.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -192,9 +194,10 @@ def load_checkpoint(path):
         count = math.prod(blob["shape"])
         nbytes = count * dt.itemsize
         need(offset + nbytes, f"blob {blob['name']}")
-        arrays[blob["name"]] = np.frombuffer(
-            raw, dtype=dt, count=count, offset=offset
-        ).reshape(blob["shape"]).copy()
+        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
+        if dt.kind == "f" and not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{path}: blob {blob['name']} holds non-finite values")
+        arrays[blob["name"]] = arr.reshape(blob["shape"]).copy()
         offset += nbytes
     if offset != len(raw):
         raise ConfigError(f"{path}: trailing bytes after declared blobs")

@@ -189,23 +189,6 @@ class Mask:
             lines.append(f"{l} " + "".join("1" if v else "0" for v in f))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# granularity="):
-            raise PlanError("mask text missing granularity header")
-        granularity = lines[0].split("=", 1)[1].strip()
-        _check_granularity(granularity)
-        flags = []
-        for expect, ln in enumerate(lines[1:]):
-            idx_str, bits = ln.split(None, 1)
-            if int(idx_str) != expect:
-                raise PlanError(f"mask layers out of order at line {ln!r}")
-            if not set(bits) <= {"0", "1"}:
-                raise PlanError(f"mask bits must be 0/1, got {bits!r}")
-            flags.append(np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0"))
-        return cls(granularity=granularity, flags=flags)
-
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 

@@ -32,7 +32,6 @@ from .datasets import Dataset, load_csv_dataset, make_dataset
 from .groups import (
     Mask,
     apply_hard_prune,
-    expand_group_values,
     group_l1_norms,
     norm_dispersion,
     parse_pruning_plan,
@@ -42,8 +41,6 @@ from .groups import (
 )
 from .netcore import Network, OptimState, accuracy, loss_and_grads, sgd_step
 from .scheduler import (
-    DONE,
-    GROWING,
     RegConfig,
     RegState,
     greg1_init,
@@ -188,11 +185,11 @@ def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
     """The SGD loop of every phase: ``sched.steps`` momentum-SGD steps.
 
     ``penalties(step)``, called before each batch is drawn, returns the
-    per-layer penalty factors for that step (uniform ``base_decay`` when
-    absent); ``on_step(step, loss)`` runs after each update. A diverging
-    run raises ``NumericError`` from the step's finiteness checks; numpy's
-    floating-point warnings from the step math on the way there are
-    silenced.
+    ``{layer: per-weight factors}`` map for that step (uniform
+    ``base_decay`` when absent); ``on_step(step, loss)`` runs after each
+    update. A diverging run raises ``NumericError`` from the step's
+    finiteness checks; numpy's floating-point warnings from the step math
+    on the way there are silenced.
     """
     opt = OptimState.for_network(
         net, sched.lr_at(0), momentum=sched.momentum, base_decay=base_decay
@@ -256,10 +253,6 @@ def _run_reg_phase(net, data, exp, state, record, ticks, control=False):
 
     ``control`` trains the same ticks under the uniform base decay instead.
     """
-    def penalties(step):
-        _, lam_groups = tick(state, net, exp.reg)
-        return dict(enumerate(expand_group_values(net, state.granularity, lam_groups)))
-
     def on_step(step, loss):
         if step % exp.metric_every == 0:
             phase, lam = ("control", 0.0) if control else (state.phase, state.lam)
@@ -269,7 +262,7 @@ def _run_reg_phase(net, data, exp, state, record, ticks, control=False):
 
     sched = PhaseSchedule(ticks, exp.reg_batch_size, ((0, exp.reg_lr),), exp.reg_momentum)
     _train(net, data, sched, np.random.default_rng([exp.seed, 2]), exp.reg.base_decay,
-           None if control else penalties, on_step)
+           None if control else lambda step: tick(state, net, exp.reg), on_step)
     if not (control or is_prune_ready(state)):
         raise ScheduleError(f"schedule not done after {ticks} ticks (phase {state.phase})")
 
@@ -277,11 +270,7 @@ def _run_reg_phase(net, data, exp, state, record, ticks, control=False):
 def _init_state(exp, net, plan, initial_mask):
     if exp.method == "greg2":
         return greg2_init(net, plan, exp.reg)
-    state = greg1_init(net, plan, exp.reg)
-    if initial_mask is not None:
-        state.prune_sets = [np.flatnonzero(f == 0) for f in initial_mask.flags]
-        state.phase = GROWING if state.prune_set_size() > 0 else DONE
-    return state
+    return greg1_init(net, plan, exp.reg, initial_mask)
 
 
 def _reg_ticks(exp, plan, initial_mask=None):

@@ -122,19 +122,11 @@ def _delta(inc) -> float:
 
 def _solve_shifted(model: QuadraticModel, delta: float) -> np.ndarray:
     """Solve (H + delta I) w = H w* by dense symmetric factorization."""
+    if not np.isfinite(delta):
+        raise DomainError(f"delta_lambda must be finite, got {delta}")
     h = model.hessian
     shifted = h + delta * np.eye(model.dim)
     rhs = h @ model.w_star
-    if model.dim <= 2:
-        # explicit inverse permitted below d = 3 and keeps the 2x2 path
-        # aligned with the hand-derived determinant form
-        det = np.linalg.det(shifted)
-        if not np.isfinite(det) or abs(det) < 1e-300:
-            raise SingularSystemError(
-                f"shifted system is singular (det {det:.3e}); "
-                "delta_lambda <= 0 with a rank-deficient hessian?"
-            )
-        return np.linalg.inv(shifted) @ rhs
     try:
         factor = cho_factor(shifted, lower=True)
     except np.linalg.LinAlgError as exc:

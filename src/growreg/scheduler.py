@@ -7,11 +7,13 @@ choose the prune set, then keeps ramping the pruned groups while the kept
 groups recover under the negated base decay.
 
 A tick corresponds to one SGD iteration: it advances the phase machine and
-hands back the per-group penalty factors to use for that iteration's
-update. Penalty increments land every ``k_update`` ticks; once the ramped
-value passes the ceiling ``tau`` the state stabilizes (penalties frozen)
-for ``k_stabilize`` ticks and then reports done, at which point the caller
-hard-prunes.
+hands back the ``{layer: per-weight penalty factors}`` map that
+``sgd_step`` takes for that iteration's update. Penalty increments, the
+pick and the prune/kept sets change only at a ``k_update`` boundary, so
+the map is rebuilt there and the same object is returned on every other
+tick. Once the ramped value passes the ceiling ``tau`` the state
+stabilizes (penalties frozen) for ``k_stabilize`` ticks and then reports
+done, at which point the caller hard-prunes.
 
 The staircase depends only on the ramp constants, so :func:`ramp_length`
 works out the tick count by arithmetic, without a network or any ticking.
@@ -27,6 +29,7 @@ from .errors import DomainError, ScheduleError
 from .groups import (
     Mask,
     PruningPlan,
+    expand_group_values,
     group_counts,
     group_l1_norms,
     select_prune_set,
@@ -97,6 +100,8 @@ class RegState:
     lam: float = 0.0
     # group counts captured at init so masks can be rebuilt without the net
     _counts: list = None
+    # per-weight penalty factors, rebuilt at each ramp boundary
+    factors: dict = None
 
     @property
     def granularity(self):
@@ -104,16 +109,6 @@ class RegState:
 
     def prune_set_size(self):
         return int(sum(len(p) for p in self.prune_sets))
-
-    def lambda_groups(self, counts, cfg: RegConfig):
-        """Per-layer per-group penalty factors for the current tick."""
-        out = []
-        for n, p, k in zip(counts, self.prune_sets, self.kept_sets):
-            arr = np.full(n, cfg.base_decay, dtype=float)
-            arr[p] = self.lam
-            arr[k] = -cfg.base_decay
-            out.append(arr)
-        return out
 
     def prune_mask(self) -> Mask:
         """Keep-flags mask over the recorded prune sets."""
@@ -137,15 +132,17 @@ def _empty_sets(n_layers):
     return [np.zeros(0, dtype=int) for _ in range(n_layers)]
 
 
-def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
-    """Fixed-set schedule: choose the prune set once, by L1 sorting, now.
+def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig,
+               mask: Mask = None) -> RegState:
+    """Fixed-set schedule: choose the prune set once, now.
 
-    The set never changes afterwards, which is what makes same-set
-    comparisons against one-shot pruning meaningful.
+    The set is ``mask``'s pruned groups, or by default the plan's
+    smallest-L1 groups. It never changes afterwards, which is what makes
+    same-set comparisons against one-shot pruning meaningful.
     """
     validate_plan_against(net, plan)
-    norms = group_l1_norms(net, plan.granularity)
-    mask = select_prune_set(norms, plan)
+    if mask is None:
+        mask = select_prune_set(group_l1_norms(net, plan.granularity), plan)
     prune_sets = [np.flatnonzero(f == 0) for f in mask.flags]
     state = RegState(
         method="greg1",
@@ -243,8 +240,8 @@ def ticks_to_done(state: RegState, cfg: RegConfig) -> int:
     return ramp_length(cfg, state.method, pick_empty=not any(picks))
 
 
-def tick(state: RegState, net: Network, cfg: RegConfig):
-    """Advance one iteration; returns (state, per-layer per-group penalties).
+def tick(state: RegState, net: Network, cfg: RegConfig) -> dict:
+    """Advance one iteration; returns ``{layer: per-weight penalty factors}``.
 
     At every ``k_update`` boundary during the ramp the shared penalty rises
     by the configured granularity; for the picking schedule, a boundary
@@ -252,13 +249,16 @@ def tick(state: RegState, net: Network, cfg: RegConfig):
     by L1 norm, fixes the prune set, and puts the kept set on the negated
     base decay. The boundary increment that passes ``tau`` flips the state
     to stabilizing, and the tick that completes ``k_stabilize`` stabilizing
-    iterations reports done. The returned penalties apply to this tick's
-    weight update.
+    iterations reports done. The returned factors apply to this tick's
+    weight update: base decay on a group in neither set, the ramped penalty
+    on the prune set, the negated base decay on the kept set. They are
+    rebuilt at each boundary (the only tick where they can change) and
+    kept on the state as ``factors``, so every other tick returns the same
+    object. ``net`` is read for the pick's L1 scores and the weight shapes.
     """
     if state.phase == DONE:
         raise ScheduleError("tick called on a finished schedule")
-    boundary = state.phase in (GROWING, PICKED) and state.iter % cfg.k_update == 0
-    if boundary:
+    if state.phase in (GROWING, PICKED) and state.iter % cfg.k_update == 0:
         if (
             state.method == "greg2"
             and state.phase == GROWING
@@ -274,13 +274,23 @@ def tick(state: RegState, net: Network, cfg: RegConfig):
             if _above(state.lam, cfg.tau):
                 state.phase = STABILIZING
                 state.stab_elapsed = 0
-    lambdas = state.lambda_groups(state._counts, cfg)
+        state.factors = _factors(state, net, cfg)
     if state.phase == STABILIZING:
         state.stab_elapsed += 1
         if state.stab_elapsed >= cfg.k_stabilize:
             state.phase = DONE
     state.iter += 1
-    return state, lambdas
+    return state.factors
+
+
+def _factors(state: RegState, net: Network, cfg: RegConfig) -> dict:
+    groups = []
+    for n, p, k in zip(state._counts, state.prune_sets, state.kept_sets):
+        arr = np.full(n, cfg.base_decay, dtype=float)
+        arr[p] = state.lam
+        arr[k] = -cfg.base_decay
+        groups.append(arr)
+    return dict(enumerate(expand_group_values(net, state.granularity, groups)))
 
 
 def _pick(state: RegState, net: Network):

@@ -130,3 +130,41 @@ def test_every_header_bit_flip_rejected_or_identical(tmp_path):
                 continue
             assert (opt, reg) == (None, None), (pos, bit)
             assert checkpoint_bytes(loaded) == raw, (pos, bit)
+
+
+def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
+    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=18)
+    net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
+    opt = OptimState.for_network(net, 0.01)
+    # magnitudes in [1, 2): flipping the top exponent bit of any of them
+    # gives an infinity or a NaN, in weights, biases and velocities alike
+    rng = np.random.default_rng(0)
+    floats = net.weights + net.biases + opt.vel_w + opt.vel_b
+    for arr in floats:
+        arr[...] = rng.uniform(1, 2, arr.shape) * rng.choice([-1, 1], arr.shape)
+    raw = checkpoint_bytes(net, opt)
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    owner, start = {}, 20 + hlen  # byte offset -> name of the blob holding it
+    for blob in json.loads(raw[20:start])["blobs"]:
+        size = int(np.prod(blob["shape"])) * np.dtype(blob["dtype"]).itemsize
+        owner.update((pos, blob["name"]) for pos in range(start, start + size))
+        start += size
+    path = tmp_path / "blob.ckpt"
+    rejected = 0
+    for pos in range(20 + hlen, len(raw)):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded, opt, _ = load_checkpoint(path)
+            except ConfigError as exc:
+                expected = f"blob.ckpt: blob {owner[pos]} holds non-finite values"
+                assert str(exc).endswith(expected), (pos, bit)
+                rejected += 1
+                continue
+            for arr in loaded.weights + loaded.biases + opt.vel_w + opt.vel_b:
+                assert np.all(np.isfinite(arr)), (pos, bit)
+    # exactly the flips that set a value's exponent to all ones
+    assert rejected == sum(arr.size for arr in floats)
+

@@ -296,22 +296,6 @@ class TestDispersion:
             norm_dispersion([0.0, 0.0])
 
 
-class TestMaskText:
-    def test_roundtrip(self):
-        mask = Mask(
-            "filter",
-            [np.array([1, 0, 1], dtype=np.uint8), np.array([1, 1], dtype=np.uint8)],
-        )
-        again = Mask.from_text(mask.to_text())
-        assert again.granularity == "filter"
-        assert all(np.array_equal(a, b) for a, b in zip(mask.flags, again.flags))
-        assert again.digest() == mask.digest()
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(PlanError):
-            Mask.from_text("0 101\n")
-
-
 class TestExpandGroupValues:
     def test_filter_expansion_shapes(self):
         net = small_conv_net(seed=7)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import mlp_specs
-from growreg import harness
+from growreg import harness, scheduler
 from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
 from growreg.errors import BudgetExceededError, ConfigError, DomainError, NumericError
@@ -196,6 +196,29 @@ class TestRunMethod:
         exp = replace(quick_config(), reg_max_iters=5)
         with pytest.raises(BudgetExceededError, match="reg_max_iters 5"):
             run_method(exp)
+
+    @pytest.mark.parametrize("method", ["greg1", "greg2"])
+    def test_ramp_builds_factors_once_per_boundary(self, monkeypatch, method):
+        built, returned = [], []
+        expand, tick = scheduler.expand_group_values, harness.tick
+
+        def counting_expand(*args):
+            built.append(args)
+            return expand(*args)
+
+        def recording_tick(*args):
+            returned.append(tick(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(scheduler, "expand_group_values", counting_expand)
+        monkeypatch.setattr(harness, "tick", recording_tick)
+        exp = quick_config(method=method, pre_steps=200, ft_steps=0)
+        rec = run_method(exp)
+        assert len(returned) == rec.summary["reg_ticks"]
+        # boundaries fall on ticks 0, k_update, ... up to the one passing tau
+        boundaries = (len(returned) - exp.reg.k_stabilize) // exp.reg.k_update + 1
+        assert len(built) == boundaries
+        assert 1 + sum(a is not b for a, b in zip(returned, returned[1:])) == boundaries
 
     def test_divergence_raises_numeric_error_without_warnings(self):
         exp = quick_config(pre_steps=50)

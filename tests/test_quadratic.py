@@ -79,6 +79,14 @@ class TestPerturbedMinimum:
         with pytest.raises(SingularSystemError):
             perturbed_minimum(model, 0.0)
 
+    @pytest.mark.filterwarnings("ignore:delta_lambda inf is not small")
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_increment_rejected(self, dim, delta):
+        model = QuadraticModel(np.eye(dim), np.ones(dim))
+        with pytest.raises(DomainError, match="delta_lambda must be finite"):
+            perturbed_minimum(model, delta)
+
     def test_large_system_uses_solve_not_inverse(self):
         rng = np.random.default_rng(5)
         model = random_psd_model(rng, 40)

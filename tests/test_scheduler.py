@@ -1,13 +1,16 @@
 """Phase machines: ramp timing, pick event, set bookkeeping, ramp length."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import mlp_specs
+from growreg import scheduler
 from growreg.errors import DomainError, ScheduleError
-from growreg.groups import parse_pruning_plan
+from growreg.groups import Mask, parse_pruning_plan
 from growreg.netcore import Network
 from growreg.scheduler import (
     DONE,
@@ -67,6 +70,19 @@ class TestFixedSetInit:
         assert state.phase == GROWING
         assert state.lam == 0.0
 
+    def test_mask_replaces_l1_selection(self):
+        net = dense_net()
+        net.weights[0][:] = [[1.0, 4.0, 2.0, 3.0], [1.0, 4.0, 2.0, 3.0]]
+        plan = parse_pruning_plan("[0.5, 0]", 2)
+        cfg = RegConfig(delta_lambda=0.1, tau=1.0)
+        flags = [np.array([1, 0, 1, 0], dtype=np.uint8), np.ones(2, dtype=np.uint8)]
+        state = greg1_init(net, plan, cfg, Mask("filter", flags))
+        assert state.prune_sets[0].tolist() == [1, 3]
+        assert state.prune_sets[1].size == 0
+        assert state.phase == GROWING
+        keep_all = [np.ones(4, dtype=np.uint8), np.ones(2, dtype=np.uint8)]
+        assert greg1_init(net, plan, cfg, Mask("filter", keep_all)).phase == DONE
+
 
 class TestPickingInit:
     def test_all_prunable_groups_start_penalized(self):
@@ -99,10 +115,10 @@ class TestPickingInit:
         while state.lam <= 0.05:
             assert all(k.size == 0 for k in state.kept_sets)
             assert state.phase == GROWING
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
         # pick happens at the next boundary after crossing
         while state.phase == GROWING:
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
         assert state.phase == PICKED
         assert sum(k.size for k in state.kept_sets) > 0
 
@@ -115,7 +131,7 @@ class TestTick:
         state = greg1_init(net, plan, cfg)
         lam_trace = []
         for _ in range(100):
-            state, lambdas = tick(state, net, cfg)
+            tick(state, net, cfg)
             lam_trace.append(state.lam)
         assert state.lam == pytest.approx(10 * 1e-4, abs=1e-15)
         # non-decreasing staircase with riser delta and tread k_update
@@ -132,7 +148,7 @@ class TestTick:
         state = greg1_init(net, plan, cfg)
         growing = 0
         while True:
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
             if state.phase != GROWING:
                 break
             growing += 1
@@ -142,7 +158,7 @@ class TestTick:
         assert state.lam > 1.0
         total = growing + 1
         while not is_prune_ready(state):
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
             total += 1
         assert total == 10 * int(1.0 / 1e-3) + 7
         assert state.lam >= cfg.tau
@@ -154,7 +170,7 @@ class TestTick:
                         k_stabilize=3)
         state = greg2_init(net, plan, cfg)
         while state.phase == GROWING:
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
         assert state.phase == PICKED
         assert state.iter - 1 == 10 * (round(0.01 / 1e-5) + 1)
 
@@ -164,10 +180,13 @@ class TestTick:
         plan = parse_pruning_plan("[0.5, 0]", 2)
         cfg = RegConfig(delta_lambda=0.1, tau=1.0, k_update=1, base_decay=5e-4)
         state = greg1_init(net, plan, cfg)
-        state, lambdas = tick(state, net, cfg)
-        assert lambdas[0][0] == pytest.approx(0.1)
-        assert lambdas[0][2] == pytest.approx(0.1)
-        assert lambdas[0][1] == pytest.approx(5e-4)
+        lambdas = tick(state, net, cfg)
+        # per-weight factors: a dense group is a column
+        assert lambdas[0].shape == net.weights[0].shape
+        assert lambdas[0][:, 0] == pytest.approx([0.1, 0.1])
+        assert lambdas[0][:, 2] == pytest.approx([0.1, 0.1])
+        assert lambdas[0][:, 1] == pytest.approx([5e-4, 5e-4])
+        assert lambdas[0][:, 3] == pytest.approx([5e-4, 5e-4])
         assert np.all(lambdas[1] == 5e-4)
 
     def test_fixed_set_never_changes(self):
@@ -177,7 +196,7 @@ class TestTick:
         state = greg1_init(net, plan, cfg)
         initial = [p.copy() for p in state.prune_sets]
         while not is_prune_ready(state):
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
             assert all(np.array_equal(a, b) for a, b in zip(initial, state.prune_sets))
 
     def test_kept_groups_hold_negated_decay_until_done(self):
@@ -188,13 +207,13 @@ class TestTick:
         state = greg2_init(net, plan, cfg)
         saw_picked = False
         while not is_prune_ready(state):
-            state, lambdas = tick(state, net, cfg)
+            lambdas = tick(state, net, cfg)
             if state.phase == GROWING:
                 # pre-pick: nothing carries a negative factor
-                assert not any((lg < 0).any() for lg in lambdas)
+                assert not any((lg < 0).any() for lg in lambdas.values())
             if state.kept_sets[0].size:
                 saw_picked = True
-                assert np.all(lambdas[0][state.kept_sets[0]] == -5e-4)
+                assert np.all(lambdas[0][:, state.kept_sets[0]] == -5e-4)
         assert saw_picked
 
     def test_tick_after_done_raises(self):
@@ -213,7 +232,7 @@ class TestTick:
         assert not is_prune_ready(state)
         seen_stab = 0
         while not is_prune_ready(state):
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
             if state.phase == STABILIZING:
                 seen_stab += 1
                 assert not is_prune_ready(state) or state.stab_elapsed >= 3
@@ -267,7 +286,7 @@ class TestRampLength:
                 state = greg1_init(net, parse_pruning_plan("[0, 0.5, 0]", 3), cfg)
                 state.method = "greg2"
                 while not is_prune_ready(state):
-                    state, _ = tick(state, net, cfg)
+                    tick(state, net, cfg)
                     assert state.phase != PICKED
                 return
         else:
@@ -275,7 +294,7 @@ class TestRampLength:
         expected = ticks_to_done(state, cfg)
         ticks = 0
         while not is_prune_ready(state):
-            state, _ = tick(state, net, cfg)
+            tick(state, net, cfg)
             ticks += 1
         assert ticks == expected
 
@@ -293,3 +312,56 @@ class TestRampLength:
             ramp_length(cfg, "greg2")
         with pytest.raises(DomainError, match="never pick"):
             greg2_init(dense_net(), parse_pruning_plan("[0.5, 0]", 2), cfg)
+
+
+def expected_factors(state, net, cfg):
+    """Per-weight factors written out group by group: base decay, the ramped
+    penalty on the prune set, the negated base decay on the kept set."""
+    out = {}
+    for l, w in enumerate(net.weights):
+        want = np.full(w.shape, cfg.base_decay)
+        # a view whose first axis indexes the layer's groups
+        groups = want.reshape(-1) if state.granularity == "weight" else want.T
+        groups[state.prune_sets[l]] = state.lam
+        groups[state.kept_sets[l]] = -cfg.base_decay
+        out[l] = want
+    return out
+
+
+PHASE_ORDER = {GROWING: 0, PICKED: 1, STABILIZING: 2, DONE: 3}
+
+
+class TestTickProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(cfg=ramp_configs(), method=st.sampled_from(["greg1", "greg2"]),
+           granularity=st.sampled_from(["filter", "weight"]),
+           plan_text=st.sampled_from(["[0, 0.5, 0]", "[0, 0.2, 0]"]))
+    def test_ramp_invariants(self, cfg, method, granularity, plan_text):
+        # at filter granularity "[0, 0.2, 0]" selects none of 3 units: for
+        # greg2 an empty pick, for greg1 a state that starts done
+        net = dense_net(hidden=(4, 3), seed=1)
+        plan = parse_pruning_plan(plan_text, 3, granularity)
+        try:
+            state = (greg2_init if method == "greg2" else greg1_init)(net, plan, cfg)
+        except DomainError:
+            assume(False)  # a picking ramp that can never pick
+        assume(state.phase != DONE)
+        expand = mock.Mock(wraps=scheduler.expand_group_values)
+        factors, boundaries = None, 0
+        with mock.patch.object(scheduler, "expand_group_values", expand):
+            while not is_prune_ready(state):
+                phase, lam, prev = state.phase, state.lam, factors
+                boundary = phase in (GROWING, PICKED) and state.iter % cfg.k_update == 0
+                boundaries += boundary
+                factors = tick(state, net, cfg)
+                assert state.lam >= lam
+                assert PHASE_ORDER[state.phase] >= PHASE_ORDER[phase]
+                assert method == "greg2" or state.phase != PICKED
+                # built once per boundary, the same object on every other tick
+                assert expand.call_count == boundaries
+                assert boundary or factors is prev
+                want = expected_factors(state, net, cfg)
+                assert sorted(factors) == sorted(want)
+                for l, w in want.items():
+                    assert factors[l].shape == w.shape
+                    assert np.array_equal(factors[l], w)
