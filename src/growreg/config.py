@@ -1,8 +1,8 @@
 """Experiment configuration documents: schema, validation, presets.
 
 Configs are JSON with an explicit ``schema_version`` so experiment inputs
-stay diffable and archivable. Validation is strict: unknown keys are
-rejected and errors name the offending field path. A ``preset`` key fills
+stay diffable and archivable. Validation is strict: unknown keys and
+mistyped values are rejected, naming the field path. A ``preset`` key fills
 the regularization constants and explicit ``reg`` keys override it; a
 preset passed to :func:`load_config` replaces the document's key. ``desk``
 finishes in minutes on toy nets, ``paper`` carries the reference constants
@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import ConfigError
-from .harness import ExperimentConfig, METHODS, PhaseSchedule
-from .netcore import ACTIVATIONS, LAYER_KINDS, LayerSpec
+from .checkpoint import _field, _ints
+from .errors import ConfigError, InputError
+from .harness import ExperimentConfig, PhaseSchedule
+from .netcore import LayerSpec
 from .scheduler import RegConfig
 
 SCHEMA_VERSION = 1
@@ -71,9 +72,27 @@ _DATASET_KEYS = {
     "spirals": {"kind", "n_train", "n_val", "seed", "noise"},
     "csv": {"kind", "path", "n_val", "seed"},
 }
+_NUMBER = (int, float)
+# the JSON type(s) of each key, wherever it appears
+_TYPES = {
+    **dict.fromkeys(("schema_version", "classes", "units", "steps", "batch_size",
+                     "k_update", "k_stabilize", "reg_batch_size", "reg_max_iters",
+                     "seed", "metric_every", "n_train", "n_val"), int),
+    **dict.fromkeys(("delta_lambda", "tau", "base_decay", "momentum", "reg_lr",
+                     "reg_momentum", "noise"), _NUMBER),
+    **dict.fromkeys(("tau_prime", "post_pick_delta_lambda"), _NUMBER + (type(None),)),
+    **dict.fromkeys(("kind", "activation", "plan", "method", "granularity", "path"), str),
+    **dict.fromkeys(("experiment", "net", "dataset", "pretrain", "finetune"), dict),
+    **dict.fromkeys(("input_shape", "layers", "milestones"), list),
+    "preset": (str, type(None)),
+    "reg": (dict, type(None)),
+    "kernel": (list, type(None)),
+    "prunable": bool,
+}
 
 
 def _check_keys(doc, allowed, required, where):
+    """Reject a non-object, unknown or missing keys, and mistyped values."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
     unknown = set(doc) - allowed
@@ -82,6 +101,8 @@ def _check_keys(doc, allowed, required, where):
     missing = required - set(doc)
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+    for key in doc:
+        _field(doc, key, _TYPES[key], where)
 
 
 def _layers_from(doc):
@@ -89,35 +110,37 @@ def _layers_from(doc):
     for i, entry in enumerate(doc):
         where = f"experiment.net.layers[{i}]"
         _check_keys(entry, _LAYER_KEYS, {"kind", "units"}, where)
-        if entry["kind"] not in LAYER_KINDS:
-            raise ConfigError(f"{where}.kind: must be one of {LAYER_KINDS}")
-        if entry.get("activation", "relu") not in ACTIVATIONS:
-            raise ConfigError(f"{where}.activation: must be one of {ACTIVATIONS}")
+        kernel = entry.get("kernel") and _ints(entry, "kernel", where)
         try:
             specs.append(
                 LayerSpec(
                     kind=entry["kind"],
-                    units=int(entry["units"]),
-                    kernel=tuple(entry["kernel"]) if entry.get("kernel") else None,
+                    units=entry["units"],
+                    kernel=tuple(kernel) if kernel else None,
                     activation=entry.get("activation", "relu"),
-                    prunable=bool(entry.get("prunable", True)),
+                    prunable=entry.get("prunable", True),
                 )
             )
-        except Exception as exc:
+        except InputError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return tuple(specs)
 
 
 def _phase_from(doc, where):
     _check_keys(doc, _PHASE_KEYS, {"steps", "batch_size", "milestones"}, where)
+    for j, m in enumerate(doc["milestones"]):
+        # type() excludes JSON booleans, which isinstance counts as ints
+        if not (isinstance(m, list) and len(m) == 2 and type(m[0]) is int
+                and type(m[1]) in _NUMBER):
+            raise ConfigError(f"{where}.milestones[{j}]: expected [step, lr], got {m!r}")
     try:
         return PhaseSchedule(
-            steps=int(doc["steps"]),
-            batch_size=int(doc["batch_size"]),
-            milestones=tuple((int(s), float(lr)) for s, lr in doc["milestones"]),
+            steps=doc["steps"],
+            batch_size=doc["batch_size"],
+            milestones=doc["milestones"],
             momentum=float(doc.get("momentum", 0.9)),
         )
-    except Exception as exc:
+    except InputError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -129,13 +152,13 @@ def _reg_from(doc, preset, method, where):
         key = "greg2" if method == "greg2" else "greg1"
         base = dict(PRESETS[preset][key])
     if doc is not None:
-        _check_keys(doc, _REG_KEYS, set(), where)
+        _check_keys(doc, _REG_KEYS, set() if base else {"delta_lambda", "tau"}, where)
         base.update(doc)
     if not base:
         raise ConfigError(f"{where}: give reg constants or a preset")
     try:
         return RegConfig(**base)
-    except Exception as exc:
+    except InputError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -151,12 +174,11 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
 
     net = exp["net"]
     _check_keys(net, _NET_KEYS, _NET_KEYS, "experiment.net")
+    input_shape = tuple(_ints(net, "input_shape", "experiment.net"))
     layers = _layers_from(net["layers"])
 
     ds = exp["dataset"]
-    if not isinstance(ds, dict) or "kind" not in ds:
-        raise ConfigError("experiment.dataset: needs a 'kind' key")
-    kind = ds["kind"]
+    kind = _field(ds, "kind", str, "experiment.dataset")
     if kind not in _DATASET_KEYS:
         raise ConfigError(
             f"experiment.dataset.kind: must be one of {sorted(_DATASET_KEYS)}"
@@ -166,9 +188,7 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
         raise ConfigError(f"experiment.dataset.path: {ds.get('path')!r} not found")
 
     method = exp["method"]
-    if method not in METHODS:
-        raise ConfigError(f"experiment.method: must be one of {METHODS}")
-    if not isinstance(exp["plan"], str) or not exp["plan"].strip():
+    if not exp["plan"].strip():
         raise ConfigError("experiment.plan: must be a non-empty plan string")
 
     reg = _reg_from(exp.get("reg"), preset or doc.get("preset"), method, "experiment.reg")
@@ -177,8 +197,8 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             layers=layers,
-            input_shape=tuple(net["input_shape"]),
-            classes=int(net["classes"]),
+            input_shape=input_shape,
+            classes=net["classes"],
             dataset=dict(ds),
             plan=exp["plan"],
             method=method,
@@ -186,14 +206,14 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
             pretrain=pretrain,
             finetune=finetune,
             granularity=exp.get("granularity", "filter"),
-            reg_batch_size=int(exp.get("reg_batch_size", 64)),
+            reg_batch_size=exp.get("reg_batch_size", 64),
             reg_lr=float(exp.get("reg_lr", 1e-3)),
             reg_momentum=float(exp.get("reg_momentum", 0.9)),
-            reg_max_iters=int(exp.get("reg_max_iters", 500_000)),
-            seed=int(exp.get("seed", 0)),
-            metric_every=int(exp.get("metric_every", 200)),
+            reg_max_iters=exp.get("reg_max_iters", 500_000),
+            seed=exp.get("seed", 0),
+            metric_every=exp.get("metric_every", 200),
         )
-    except Exception as exc:
+    except InputError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
 
 

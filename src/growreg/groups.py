@@ -180,9 +180,6 @@ class Mask:
     granularity: str
     flags: list = field(default_factory=list)
 
-    def pruned_counts(self):
-        return [int((f == 0).sum()) for f in self.flags]
-
     def to_text(self) -> str:
         lines = [f"# granularity={self.granularity}"]
         for l, f in enumerate(self.flags):

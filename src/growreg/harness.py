@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DomainError,
     ProtocolError,
-    ScheduleError,
 )
 from .datasets import Dataset, load_csv_dataset, make_dataset
 from .groups import (
@@ -45,10 +44,8 @@ from .scheduler import (
     RegState,
     greg1_init,
     greg2_init,
-    is_prune_ready,
     ramp_length,
     tick,
-    ticks_to_done,
 )
 
 METHODS = ("greg1", "greg2", "oneshot_l1", "random_subset")
@@ -248,8 +245,8 @@ def _snapshot(record, it, net, granularity, prunable_layers):
             record.snapshots.append((it, l, vec / peak))
 
 
-def _run_reg_phase(net, data, exp, state, record, ticks, control=False):
-    """Drive the scheduler to done in ``ticks`` SGD steps, one per tick.
+def _run_reg_phase(net, data, exp, state, record, control=False):
+    """Drive the scheduler to done in ``state.ticks`` SGD steps, one per tick.
 
     ``control`` trains the same ticks under the uniform base decay instead.
     """
@@ -260,11 +257,9 @@ def _run_reg_phase(net, data, exp, state, record, ticks, control=False):
             if state.method == "greg2":
                 _snapshot(record, step, net, state.granularity, state.eligible_layers)
 
-    sched = PhaseSchedule(ticks, exp.reg_batch_size, ((0, exp.reg_lr),), exp.reg_momentum)
+    sched = PhaseSchedule(state.ticks, exp.reg_batch_size, ((0, exp.reg_lr),), exp.reg_momentum)
     _train(net, data, sched, np.random.default_rng([exp.seed, 2]), exp.reg.base_decay,
            None if control else lambda step: tick(state, net, exp.reg), on_step)
-    if not (control or is_prune_ready(state)):
-        raise ScheduleError(f"schedule not done after {ticks} ticks (phase {state.phase})")
 
 
 def _init_state(exp, net, plan, initial_mask):
@@ -280,8 +275,7 @@ def _reg_ticks(exp, plan, initial_mask=None):
     the state an untrained network of the configured topology initializes,
     before any training.
     """
-    state = _init_state(exp, build_network(exp), plan, initial_mask)
-    ticks = ticks_to_done(state, exp.reg)
+    ticks = _init_state(exp, build_network(exp), plan, initial_mask).ticks
     if ticks > exp.reg_max_iters:
         raise BudgetExceededError(
             f"regularization phase needs {ticks} iterations, over "
@@ -336,7 +330,7 @@ def run_method(
         state = None
     else:
         state = _init_state(exp, net, plan, initial_mask)
-        _run_reg_phase(net, data, exp, state, record, reg_ticks)
+        _run_reg_phase(net, data, exp, state, record)
         mask = state.prune_mask()
         pre_prune_acc = accuracy(net, data.val_x, data.val_y)
 
@@ -506,6 +500,6 @@ def track_separation(exp: ExperimentConfig, control: bool = False) -> Experiment
     net = pretrain(exp, data).clone()
     record = ExperimentRecord(n_layers=len(net.layers))
     state = greg2_init(net, plan, exp.reg)
-    _run_reg_phase(net, data, exp, state, record, ticks, control)
+    _run_reg_phase(net, data, exp, state, record, control)
     record.summary = {"mode": "control" if control else "greg2", "ticks": ticks}
     return record

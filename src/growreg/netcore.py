@@ -7,9 +7,9 @@ applied as gradient augmentation inside :func:`sgd_step` (coupled decay),
 never inside :func:`loss_and_grads`, so per-group factors are honored and
 the reported loss is the task loss alone. Biases are never penalized.
 
-Everything is float64 numpy; a network trains on a single thread, and
-forward passes on a network nobody is mutating are safe to run from
-anywhere.
+Everything is float64 numpy. Training runs in one Python thread, though
+numpy's BLAS may add threads of its own; forward passes on a network
+nobody is mutating are safe to run from anywhere.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Equilibrium shift of a converged quadratic model under an L2 penalty bump.
 
-A converged model is summarized by its (symmetric PSD) Hessian ``H``, the
-converged weights ``w*`` and a constant offset. Raising the L2 penalty by a
-small ``delta_lambda`` moves the minimum to
+A converged model is summarized by its (symmetric PSD) Hessian ``H`` and
+the converged weights ``w*``. Raising the L2 penalty by a small
+``delta_lambda`` moves the minimum to
 
     w_hat = (H + delta_lambda * I)^-1 H w*,
 
@@ -31,7 +31,7 @@ PSD_EIG_TOL = -1e-10
 
 @dataclass(frozen=True, eq=False)
 class QuadraticModel:
-    """Symmetric PSD curvature matrix, converged weights, constant offset.
+    """Symmetric PSD curvature matrix and converged weights.
 
     The matrix is symmetrized on construction; asymmetry beyond
     ``SYMMETRY_WARN_TOL`` triggers a warning, and an eigenvalue below
@@ -40,7 +40,6 @@ class QuadraticModel:
 
     hessian: np.ndarray
     w_star: np.ndarray
-    offset: float = 0.0
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -142,11 +141,12 @@ def perturbed_minimum(model: QuadraticModel, inc) -> np.ndarray:
 
     Returns the solution of ``(H + delta I) w = H w*``. Warns when the bump
     is not small against the least positive curvature, where the
-    small-increment reading of the ratios degrades.
+    small-increment reading of the ratios degrades; a non-finite bump is
+    rejected without a warning.
     """
     delta = _delta(inc)
     min_pos = model.min_positive_eigenvalue()
-    if delta > 0 and min_pos is not None and delta >= min_pos:
+    if 0 < delta < np.inf and min_pos is not None and delta >= min_pos:
         warnings.warn(
             f"delta_lambda {delta:.3e} is not small against the least positive "
             f"curvature {min_pos:.3e}; small-increment regime does not hold",

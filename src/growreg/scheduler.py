@@ -6,17 +6,14 @@ prunable group until a picking ceiling, lets the induced magnitude gap
 choose the prune set, then keeps ramping the pruned groups while the kept
 groups recover under the negated base decay.
 
-A tick corresponds to one SGD iteration: it advances the phase machine and
-hands back the ``{layer: per-weight penalty factors}`` map that
-``sgd_step`` takes for that iteration's update. Penalty increments, the
-pick and the prune/kept sets change only at a ``k_update`` boundary, so
-the map is rebuilt there and the same object is returned on every other
-tick. Once the ramped value passes the ceiling ``tau`` the state
-stabilizes (penalties frozen) for ``k_stabilize`` ticks and then reports
-done, at which point the caller hard-prunes.
-
-The staircase depends only on the ramp constants, so :func:`ramp_length`
-works out the tick count by arithmetic, without a network or any ticking.
+The ramp is a staircase fixed by the ramp constants alone: the penalty
+rises every ``k_update`` ticks, greg2 picks at the first boundary that sees
+it above ``tau_prime``, and the boundary whose increment passes ``tau``
+starts ``k_stabilize`` ticks of frozen penalties, after which the caller
+hard-prunes. :func:`_staircase` works it out by arithmetic at init. A
+tick, one SGD iteration, walks it and returns the ``{layer: per-weight
+penalty factors}`` map ``sgd_step`` takes, rebuilt only at a boundary;
+the phase follows from the tick count.
 """
 
 from __future__ import annotations
@@ -85,23 +82,38 @@ class RegConfig:
 
 @dataclass(eq=False)
 class RegState:
-    """Phase machine plus per-layer prune / kept index sets."""
+    """Prune / kept index sets plus the staircase of :func:`_staircase`.
+
+    Boundary ``b`` falls on tick ``b * k_update``; ``ticks`` is 0 when
+    nothing is to be pruned. The phase follows from ``iter``.
+    """
 
     method: str
-    phase: str
     plan: PruningPlan
     prune_sets: list
     kept_sets: list
     eligible_layers: list
+    pick: int
+    last: int
+    ticks: int
+    k_update: int
     iter: int = 0
-    incr_pre: int = 0
-    incr_post: int = 0
-    stab_elapsed: int = 0
     lam: float = 0.0
     # group counts captured at init so masks can be rebuilt without the net
     _counts: list = None
     # per-weight penalty factors, rebuilt at each ramp boundary
     factors: dict = None
+
+    @property
+    def phase(self) -> str:
+        if self.iter >= self.ticks:
+            return DONE
+        # the tick at boundary b leaves iter at b * k_update + 1
+        if self.iter > self.last * self.k_update:
+            return STABILIZING
+        if self.pick is not None and self.iter > self.pick * self.k_update:
+            return PICKED
+        return GROWING
 
     @property
     def granularity(self):
@@ -128,8 +140,24 @@ def _eligible_layers(net: Network, plan: PruningPlan):
     ]
 
 
-def _empty_sets(n_layers):
-    return [np.zeros(0, dtype=int) for _ in range(n_layers)]
+def _new_state(net, plan, cfg, method, prune_sets) -> RegState:
+    # the pick selects floor(r_l * n_l) groups per layer whatever the scores
+    counts = group_counts(net, plan.granularity)
+    pick_empty = not any(selection_counts(plan, counts))
+    pick, last = _staircase(cfg, method, pick_empty)
+    ramped = any(len(p) for p in prune_sets)
+    return RegState(
+        method=method,
+        plan=plan,
+        prune_sets=prune_sets,
+        kept_sets=[np.zeros(0, dtype=int) for _ in counts],
+        eligible_layers=_eligible_layers(net, plan),
+        pick=pick,
+        last=last,
+        ticks=ramp_length(cfg, method, pick_empty) if ramped else 0,
+        k_update=cfg.k_update,
+        _counts=counts,
+    )
 
 
 def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig,
@@ -144,42 +172,18 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig,
     if mask is None:
         mask = select_prune_set(group_l1_norms(net, plan.granularity), plan)
     prune_sets = [np.flatnonzero(f == 0) for f in mask.flags]
-    state = RegState(
-        method="greg1",
-        phase=GROWING,
-        plan=plan,
-        prune_sets=prune_sets,
-        kept_sets=_empty_sets(len(net.layers)),
-        eligible_layers=_eligible_layers(net, plan),
-    )
-    state._counts = group_counts(net, plan.granularity)
-    if state.prune_set_size() == 0:
-        state.phase = DONE
-    return state
+    return _new_state(net, plan, cfg, "greg1", prune_sets)
 
 
 def greg2_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
     """Picking schedule: start with every prunable group under the ramp."""
-    ramp_length(cfg, "greg2")  # rejects ramps that cannot pick
     validate_plan_against(net, plan)
-    counts = group_counts(net, plan.granularity)
     eligible = _eligible_layers(net, plan)
     prune_sets = [
-        np.arange(counts[l], dtype=int) if l in eligible else np.zeros(0, dtype=int)
-        for l in range(len(net.layers))
+        np.arange(n, dtype=int) if l in eligible else np.zeros(0, dtype=int)
+        for l, n in enumerate(group_counts(net, plan.granularity))
     ]
-    state = RegState(
-        method="greg2",
-        phase=GROWING,
-        plan=plan,
-        prune_sets=prune_sets,
-        kept_sets=_empty_sets(len(net.layers)),
-        eligible_layers=eligible,
-    )
-    state._counts = counts
-    if state.prune_set_size() == 0:
-        state.phase = DONE
-    return state
+    return _new_state(net, plan, cfg, "greg2", prune_sets)
 
 
 def _above(value, ceiling):
@@ -200,22 +204,21 @@ def _first_above(lam, ceiling, guess):
     return n
 
 
-def ramp_length(cfg: RegConfig, method: str, pick_empty: bool = False) -> int:
-    """Ticks a fresh schedule with a non-empty prune set runs until done.
+def _staircase(cfg: RegConfig, method: str, pick_empty: bool):
+    """The pick boundary (None for greg1) and the last boundary.
 
-    Works the staircase out by arithmetic: boundary ``b`` (from 0) lands on
-    tick ``b * k_update``, and the boundary whose increment passes ``tau``
-    is the first of ``max(1, k_stabilize)`` stabilizing ticks. With
-    ``pick_empty`` the picking schedule's pick selects no group, so it
-    stabilizes at the picking boundary instead. Rejects a picking ramp that
-    passes ``tau`` before any boundary sees the penalty above ``tau_prime``.
+    Boundary ``b`` sets the penalty to ``_ramp_lambda(cfg, b + 1, 0)``
+    before the pick and to ``_ramp_lambda(cfg, pick, b - pick + 1)`` from
+    it on. The pick is the first boundary whose incoming penalty is above
+    ``tau_prime``; the last is the first whose new penalty is above
+    ``tau``, or an empty pick, which adds no increment. Rejects a picking
+    ramp that passes ``tau`` before any boundary sees it above ``tau_prime``.
     """
     def pre(n):
         return _ramp_lambda(cfg, n, 0)
 
     if method != "greg2":
-        last = _first_above(pre, cfg.tau, cfg.tau / cfg.delta_lambda) - 1
-        return last * cfg.k_update + max(1, cfg.k_stabilize)
+        return None, _first_above(pre, cfg.tau, cfg.tau / cfg.delta_lambda) - 1
     if cfg.tau_prime is None:
         raise DomainError("the picking schedule needs tau_prime")
     pick = _first_above(pre, cfg.tau_prime, cfg.tau_prime / cfg.delta_lambda)
@@ -225,60 +228,46 @@ def ramp_length(cfg: RegConfig, method: str, pick_empty: bool = False) -> int:
             f"before a boundary sees it above tau_prime {cfg.tau_prime}, so the "
             "picking schedule would never pick"
         )
-    last = pick
-    if not pick_empty:
-        last += _first_above(lambda n: _ramp_lambda(cfg, pick, n), cfg.tau,
-                             (cfg.tau - pre(pick)) / cfg.post_pick_delta_lambda) - 1
+    if pick_empty:
+        return pick, pick
+    post = _first_above(lambda n: _ramp_lambda(cfg, pick, n), cfg.tau,
+                        (cfg.tau - pre(pick)) / cfg.post_pick_delta_lambda)
+    return pick, pick + post - 1
+
+
+def ramp_length(cfg: RegConfig, method: str, pick_empty: bool = False) -> int:
+    """Ticks a fresh schedule with a non-empty prune set runs until done.
+
+    The last boundary is the first of ``max(1, k_stabilize)`` stabilizing
+    ticks; ``pick_empty`` says greg2's pick selects no group.
+    """
+    last = _staircase(cfg, method, pick_empty)[1]
     return last * cfg.k_update + max(1, cfg.k_stabilize)
-
-
-def ticks_to_done(state: RegState, cfg: RegConfig) -> int:
-    """:func:`ramp_length` for a freshly initialized state (0 if done)."""
-    if state.phase == DONE:
-        return 0
-    picks = selection_counts(state.plan, state._counts)
-    return ramp_length(cfg, state.method, pick_empty=not any(picks))
 
 
 def tick(state: RegState, net: Network, cfg: RegConfig) -> dict:
     """Advance one iteration; returns ``{layer: per-weight penalty factors}``.
 
-    At every ``k_update`` boundary during the ramp the shared penalty rises
-    by the configured granularity; for the picking schedule, a boundary
-    reached with the penalty above ``tau_prime`` first re-scores the groups
-    by L1 norm, fixes the prune set, and puts the kept set on the negated
-    base decay. The boundary increment that passes ``tau`` flips the state
-    to stabilizing, and the tick that completes ``k_stabilize`` stabilizing
-    iterations reports done. The returned factors apply to this tick's
-    weight update: base decay on a group in neither set, the ramped penalty
-    on the prune set, the negated base decay on the kept set. They are
-    rebuilt at each boundary (the only tick where they can change) and
-    kept on the state as ``factors``, so every other tick returns the same
+    At boundary ``b <= last`` the penalty is set from ``b`` (see
+    :func:`_staircase`); greg2's pick boundary first re-scores the groups
+    by L1 norm, fixes the prune set and puts the kept set on the negated
+    base decay. The factors apply to this tick's weight update: base decay
+    on a group in neither set, the penalty on the prune set, the negated
+    base decay on the kept set. They are rebuilt at each boundary and kept
+    on the state as ``factors``, so every other tick returns the same
     object. ``net`` is read for the pick's L1 scores and the weight shapes.
     """
     if state.phase == DONE:
         raise ScheduleError("tick called on a finished schedule")
-    if state.phase in (GROWING, PICKED) and state.iter % cfg.k_update == 0:
-        if (
-            state.method == "greg2"
-            and state.phase == GROWING
-            and _above(state.lam, cfg.tau_prime)
-        ):
+    b, r = divmod(state.iter, state.k_update)
+    if r == 0 and b <= state.last:
+        if b == state.pick:
             _pick(state, net)
-        if state.phase in (GROWING, PICKED):
-            if state.method == "greg2" and state.phase == PICKED:
-                state.incr_post += 1
-            else:
-                state.incr_pre += 1
-            state.lam = _ramp_lambda(cfg, state.incr_pre, state.incr_post)
-            if _above(state.lam, cfg.tau):
-                state.phase = STABILIZING
-                state.stab_elapsed = 0
+        if state.pick is None or b < state.pick:
+            state.lam = _ramp_lambda(cfg, b + 1, 0)
+        elif state.prune_set_size():  # an empty pick adds no increment
+            state.lam = _ramp_lambda(cfg, state.pick, b - state.pick + 1)
         state.factors = _factors(state, net, cfg)
-    if state.phase == STABILIZING:
-        state.stab_elapsed += 1
-        if state.stab_elapsed >= cfg.k_stabilize:
-            state.phase = DONE
     state.iter += 1
     return state.factors
 
@@ -295,24 +284,13 @@ def _factors(state: RegState, net: Network, cfg: RegConfig) -> dict:
 
 def _pick(state: RegState, net: Network):
     """Score by current L1 norms, fix the prune set, start kept recovery."""
-    norms = group_l1_norms(net, state.granularity)
-    mask = select_prune_set(norms, state.plan)
-    prune_sets, kept_sets = [], []
-    for l, flags in enumerate(mask.flags):
-        if l in state.eligible_layers:
-            prune_sets.append(np.flatnonzero(flags == 0))
-            kept_sets.append(np.flatnonzero(flags == 1))
-        else:
-            prune_sets.append(np.zeros(0, dtype=int))
-            kept_sets.append(np.zeros(0, dtype=int))
-    state.prune_sets = prune_sets
-    state.kept_sets = kept_sets
-    if state.prune_set_size() == 0:
-        # nothing left to ramp; the ceiling can never be passed
-        state.phase = STABILIZING
-        state.stab_elapsed = 0
-    else:
-        state.phase = PICKED
+    mask = select_prune_set(group_l1_norms(net, state.granularity), state.plan)
+    # the plan gives every layer outside eligible_layers ratio 0
+    state.prune_sets = [np.flatnonzero(f == 0) for f in mask.flags]
+    state.kept_sets = [
+        np.flatnonzero(f == 1) if l in state.eligible_layers else np.zeros(0, dtype=int)
+        for l, f in enumerate(mask.flags)
+    ]
 
 
 def is_prune_ready(state: RegState) -> bool:

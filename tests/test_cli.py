@@ -87,6 +87,17 @@ class TestOracle:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_increment_exits_2_without_warning(self, runner, tmp_path):
+        # a warning, raised as an error here, would end the command with exit 1
+        result = runner.invoke(
+            main, ["oracle", "--dim", "2", "--cases", "1", "--delta-lambda", "inf",
+                   "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "delta_lambda must be finite" in result.stderr
+        assert "Warning" not in result.stderr
+
     def test_exact_vs_approx_table(self, runner, tmp_path):
         out = tmp_path / "oracle2"
         result = runner.invoke(
@@ -276,6 +287,30 @@ class TestValidationExitCodes:
         node = doc["experiment"]
         for name in parents:
             node = node[name]
+        node[key] = value
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out",
+                                      str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert all(part in result.output for part in field.split("."))
+
+    @pytest.mark.parametrize("field, value", [
+        ("experiment.net.layers", 5),
+        ("preset", ["desk"]),
+        ("experiment.dataset.kind", ["moons"]),
+        ("experiment.net.layers.0.units", 1.5),
+        ("experiment.net.layers.0.units", True),
+        ("experiment.pretrain.steps", 1e30),
+        ("experiment.dataset.n_train", "x"),
+    ])
+    def test_mistyped_field_names_path(self, runner, tmp_path, field, value):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[int(name)] if name.isdigit() else node[name]
         node[key] = value
         cfg.write_text(json.dumps(doc))
         result = runner.invoke(main, ["run", "--config", str(cfg), "--out",

@@ -1,8 +1,11 @@
 """Config document validation: strict keys, presets, field-naming errors."""
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growreg.config import PRESETS, config_from_dict, load_config
 from growreg.errors import ConfigError
@@ -128,3 +131,41 @@ def test_shipped_configs_parse():
     for name in ("greg1_desk", "greg2_desk", "compare_desk", "separation_desk"):
         exp = load_config(CONFIG_DIR / f"{name}.json")
         assert exp.classes == 2
+
+
+def _paths(node, prefix=()):
+    """Every key path below ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["greg1_desk", "greg2_desk",
+                                              "separation_desk"]))
+def test_mutated_documents_load_or_raise_config_error(data, name):
+    # one value replaced by any JSON value, or one object key deleted
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(json_values)
+    try:
+        config_from_dict(doc)
+    except ConfigError:
+        pass

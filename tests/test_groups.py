@@ -97,7 +97,7 @@ class TestSelection:
             plan = PruningPlan(ratios=(r,), never_prune=frozenset())
             norms = GroupNorms(per_layer=[rng.uniform(0, 1, n)], granularity="filter")
             mask = select_prune_set(norms, plan)
-            assert mask.pruned_counts()[0] == int(np.floor(r * n))
+            assert int((mask.flags[0] == 0).sum()) == int(np.floor(r * n))
 
     def test_removing_all_groups_refused(self):
         plan = PruningPlan(ratios=(1.0,), never_prune=frozenset())

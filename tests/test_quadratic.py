@@ -79,7 +79,7 @@ class TestPerturbedMinimum:
         with pytest.raises(SingularSystemError):
             perturbed_minimum(model, 0.0)
 
-    @pytest.mark.filterwarnings("ignore:delta_lambda inf is not small")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_increment_rejected(self, dim, delta):

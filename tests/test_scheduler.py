@@ -1,5 +1,6 @@
 """Phase machines: ramp timing, pick event, set bookkeeping, ramp length."""
 
+from itertools import count
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from growreg.scheduler import (
     is_prune_ready,
     ramp_length,
     tick,
-    ticks_to_done,
 )
 
 
@@ -230,13 +230,14 @@ class TestTick:
         cfg = RegConfig(delta_lambda=0.5, tau=0.6, k_update=1, k_stabilize=3)
         state = greg1_init(net, plan, cfg)
         assert not is_prune_ready(state)
-        seen_stab = 0
+        stab_ticks = 0
         while not is_prune_ready(state):
             tick(state, net, cfg)
-            if state.phase == STABILIZING:
-                seen_stab += 1
-                assert not is_prune_ready(state) or state.stab_elapsed >= 3
-        assert state.stab_elapsed == 3
+            if state.phase in (STABILIZING, DONE):
+                stab_ticks += 1
+                # ready exactly when k_stabilize stabilizing ticks have run
+                assert is_prune_ready(state) == (stab_ticks == 3)
+        assert stab_ticks == 3
 
     def test_prune_mask_matches_sets(self):
         net = dense_net(hidden=(5,), seed=9)
@@ -274,29 +275,59 @@ class TestRampLength:
     @settings(max_examples=150, deadline=None)
     @given(cfg=ramp_configs(), method=st.sampled_from(["greg1", "greg2"]),
            plan_text=st.sampled_from(["[0, 0.5, 0]", "[0, 0, 0]", "[0, 0.2, 0]"]))
-    def test_arithmetic_matches_ticking(self, cfg, method, plan_text):
-        # "[0, 0, 0]" and "[0, 0.2, 0]" on 4 units pick nothing
+    def test_ticks_follow_threshold_rule(self, cfg, method, plan_text):
+        # "[0, 0, 0]" and "[0, 0.2, 0]" select none of layer 1's 3 units
+        above = scheduler._above
         net = dense_net(hidden=(4, 3), seed=1)
         plan = parse_pruning_plan(plan_text, 3)
-        if method == "greg2":
+        if method == "greg1":
+            state = greg1_init(net, plan, cfg)
+        else:
             try:
                 state = greg2_init(net, plan, cfg)
-            except DomainError:
-                # rejected as unable to pick: ticking such a ramp never picks
-                state = greg1_init(net, parse_pruning_plan("[0, 0.5, 0]", 3), cfg)
-                state.method = "greg2"
-                while not is_prune_ready(state):
-                    tick(state, net, cfg)
-                    assert state.phase != PICKED
+            except DomainError as exc:
+                assert "never pick" in str(exc)
+                # the first boundary whose incoming lambda is above tau_prime
+                # comes after a boundary whose increment passed tau
+                first = next(n for n in count() if above(n * cfg.delta_lambda,
+                                                         cfg.tau_prime))
+                assert above(first * cfg.delta_lambda, cfg.tau)
                 return
-        else:
-            state = greg1_init(net, plan, cfg)
-        expected = ticks_to_done(state, cfg)
-        ticks = 0
+        if state.prune_set_size() == 0:
+            # greg1 with an empty set has no ramp at all
+            assert is_prune_ready(state) and state.ticks == 0
+            return
+        # (incoming lambda, new lambda, phase after, kept groups after) per
+        # boundary of the ramp, boundary b at row b
+        rows, ticks = [], 0
         while not is_prune_ready(state):
+            ramping = state.phase in (GROWING, PICKED)
+            boundary = ramping and state.iter % cfg.k_update == 0
+            lam_in = state.lam
             tick(state, net, cfg)
             ticks += 1
-        assert ticks == expected
+            if boundary:
+                kept = sum(k.size for k in state.kept_sets)
+                rows.append((lam_in, state.lam, state.phase, kept))
+            else:
+                assert state.lam == lam_in
+        stab = next(b for b, r in enumerate(rows) if r[2] in (STABILIZING, DONE))
+        assert stab == len(rows) - 1
+        pick_empty = False
+        if method == "greg2":
+            pick = next(b for b, r in enumerate(rows) if r[3])
+            assert pick == next(b for b, r in enumerate(rows)
+                                if above(r[0], cfg.tau_prime))
+            pick_empty = state.prune_set_size() == 0
+        else:
+            assert not any(r[3] for r in rows)
+        if pick_empty:
+            # an empty pick stabilizes at once, without an increment
+            assert stab == pick and rows[pick][1] == rows[pick][0]
+        else:
+            assert above(rows[stab][1], cfg.tau)
+        assert not any(above(r[1], cfg.tau) for r in rows[:stab])
+        assert ticks == state.ticks == ramp_length(cfg, method, pick_empty)
 
     def test_paper_greg2_length(self):
         cfg = RegConfig(delta_lambda=1e-5, tau=1.0, tau_prime=0.01, k_update=10,
