@@ -3,17 +3,19 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic ``b"GREGCKPT"``
-    bytes 8..11   format version, uint32 (currently 1)
+    bytes 8..11   format version, uint32 (currently 2)
     bytes 12..19  header length N, uint64
     bytes 20..    N bytes of canonical UTF-8 JSON (sorted keys, no spaces)
     then          raw parameter blobs, concatenated in header order
 
-The header lists the topology (input shape, class count, layer specs), the
-blob directory (name, shape, dtype string), optional optimizer
-hyperparameters, the indices of layers carrying frozen-weight masks, and an
-optional regularization-state document. Blobs are ``<f8`` for parameters
-and velocities and ``|u1`` for frozen masks. Identical inputs produce
-byte-identical files.
+A checkpoint holds a network and nothing else: no command resumes a run
+mid-ramp, so optimizer velocities and schedule state are not stored. The
+header lists the topology (input shape, class count, layer specs), the
+blob directory (name, shape, dtype string) and the indices of layers
+carrying frozen-weight masks. Blobs are ``<f8`` for weights and biases and
+``|u1`` for frozen masks. Identical networks produce byte-identical files.
+Version 1 files, which could also carry velocities and a schedule-state
+document, are rejected.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .netcore import LayerSpec, Network, OptimState
+from .netcore import LayerSpec, Network
 
 MAGIC = b"GREGCKPT"
-VERSION = 1
+VERSION = 2
 
 
 def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def checkpoint_bytes(net: Network, opt: OptimState = None, reg_state=None) -> bytes:
+def checkpoint_bytes(net: Network) -> bytes:
     blobs = []
 
     def add(name, arr, dtype):
@@ -44,10 +46,6 @@ def checkpoint_bytes(net: Network, opt: OptimState = None, reg_state=None) -> by
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         add(f"w{l}", w, "<f8")
         add(f"b{l}", b, "<f8")
-    if opt is not None:
-        for l, (vw, vb) in enumerate(zip(opt.vel_w, opt.vel_b)):
-            add(f"vw{l}", vw, "<f8")
-            add(f"vb{l}", vb, "<f8")
     frozen_layers = [l for l, m in enumerate(net.frozen) if m is not None]
     for l in frozen_layers:
         add(f"fz{l}", net.frozen[l], "|u1")
@@ -69,15 +67,7 @@ def checkpoint_bytes(net: Network, opt: OptimState = None, reg_state=None) -> by
             {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
             for name, arr in blobs
         ],
-        "optimizer": None
-        if opt is None
-        else {
-            "learning_rate": opt.learning_rate,
-            "momentum": opt.momentum,
-            "base_decay": opt.base_decay,
-        },
         "frozen_layers": frozen_layers,
-        "reg_state": reg_state,
     }
     head = _canonical(header)
     parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(head)), head]
@@ -85,8 +75,8 @@ def checkpoint_bytes(net: Network, opt: OptimState = None, reg_state=None) -> by
     return b"".join(parts)
 
 
-def save_checkpoint(path, net: Network, opt: OptimState = None, reg_state=None):
-    data = checkpoint_bytes(net, opt, reg_state)
+def save_checkpoint(path, net: Network):
+    data = checkpoint_bytes(net)
     with open(path, "wb") as fh:
         fh.write(data)
     return data
@@ -138,21 +128,14 @@ def _parse_header(text, path):
         _field(blob, "name", str, at)
         _ints(blob, "shape", at)
         _field(blob, "dtype", str, at)
-    opt = _field(header, "optimizer", (dict, type(None)), where)
-    if opt is not None:
-        for key in ("learning_rate", "momentum", "base_decay"):
-            _field(opt, key, (int, float), f"{where} optimizer")
     n_layers = len(header["layers"])
     frozen = _ints(header, "frozen_layers", where)
     if any(l >= n_layers for l in frozen):
         raise ConfigError(f"{where}: frozen_layers {frozen} outside {n_layers} layers")
-    if "reg_state" not in header:
-        raise ConfigError(f"{where} lacks 'reg_state'")
 
     expected = {}
     for l in range(n_layers):
-        names = ["w", "b"] + (["vw", "vb"] if opt is not None else [])
-        expected.update((f"{n}{l}", "<f8") for n in names)
+        expected.update({f"w{l}": "<f8", f"b{l}": "<f8"})
     expected.update((f"fz{l}", "|u1") for l in frozen)
     found = [(blob["name"], blob["dtype"]) for blob in header["blobs"]]
     if sorted(found) != sorted(expected.items()):
@@ -164,11 +147,16 @@ def _parse_header(text, path):
 
 
 def load_checkpoint(path):
-    """Returns (network, optimizer-or-None, reg_state-doc-or-None).
+    """Returns ``(network, None, None)``.
+
+    The two ``None`` slots are where format 1 returned optimizer state and
+    a schedule-state document. They stay so that callers which unpack
+    three values, such as the benchmark's checkpoint round trip, keep
+    working; a later change can return the network alone.
 
     A malformed file raises ``ConfigError`` naming ``path``. That includes
-    a float blob (weights, biases or velocities) holding a NaN or an
-    infinity, which names the blob too. Blobs carry no checksum, so any
+    a version-1 file and a float blob (weights or biases) holding a NaN or
+    an infinity, which names the blob too. Blobs carry no checksum, so any
     other corrupted value loads as written.
     """
     with open(path, "rb") as fh:
@@ -206,7 +194,6 @@ def load_checkpoint(path):
     frozen = [None] * n_layers
     for l in header["frozen_layers"]:
         frozen[l] = arrays[f"fz{l}"].astype(bool)
-    o = header["optimizer"]
     try:
         specs = [
             LayerSpec(
@@ -222,19 +209,6 @@ def load_checkpoint(path):
         biases = [arrays[f"b{l}"] for l in range(n_layers)]
         net = Network(specs, header["input_shape"], header["classes"], weights,
                       biases, frozen)
-        opt = None if o is None else OptimState(
-            o["learning_rate"], o["momentum"], o["base_decay"])
     except InputError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if opt is not None:
-        opt.vel_w = [arrays[f"vw{l}"] for l in range(n_layers)]
-        opt.vel_b = [arrays[f"vb{l}"] for l in range(n_layers)]
-        for l in range(n_layers):
-            have = (opt.vel_w[l].shape, opt.vel_b[l].shape)
-            want = (net.weights[l].shape, net.biases[l].shape)
-            if have != want:
-                raise ConfigError(
-                    f"{path}: layer {l} velocity shapes {have} differ from "
-                    f"its parameter shapes {want}"
-                )
-    return net, opt, header["reg_state"]
+    return net, None, None

@@ -44,9 +44,9 @@ PRESETS = {"desk": DESK_REG, "paper": PAPER_REG}
 
 _TOP_KEYS = {"schema_version", "preset", "experiment"}
 _EXP_REQUIRED = {"net", "dataset", "plan", "method", "pretrain", "finetune"}
-_EXP_KEYS = _EXP_REQUIRED | {
+# passed to ExperimentConfig as given; absent keys take its defaults
+_EXP_OPTIONAL = {
     "granularity",
-    "reg",
     "reg_batch_size",
     "reg_lr",
     "reg_momentum",
@@ -54,6 +54,7 @@ _EXP_KEYS = _EXP_REQUIRED | {
     "seed",
     "metric_every",
 }
+_EXP_KEYS = _EXP_REQUIRED | _EXP_OPTIONAL | {"reg"}
 _NET_KEYS = {"input_shape", "classes", "layers"}
 _LAYER_KEYS = {"kind", "units", "kernel", "activation", "prunable"}
 _PHASE_KEYS = {"steps", "batch_size", "milestones", "momentum"}
@@ -110,17 +111,10 @@ def _layers_from(doc):
     for i, entry in enumerate(doc):
         where = f"experiment.net.layers[{i}]"
         _check_keys(entry, _LAYER_KEYS, {"kind", "units"}, where)
-        kernel = entry.get("kernel") and _ints(entry, "kernel", where)
+        if entry.get("kernel"):
+            _ints(entry, "kernel", where)
         try:
-            specs.append(
-                LayerSpec(
-                    kind=entry["kind"],
-                    units=entry["units"],
-                    kernel=tuple(kernel) if kernel else None,
-                    activation=entry.get("activation", "relu"),
-                    prunable=entry.get("prunable", True),
-                )
-            )
+            specs.append(LayerSpec(**entry))
         except InputError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return tuple(specs)
@@ -134,12 +128,7 @@ def _phase_from(doc, where):
                 and type(m[1]) in _NUMBER):
             raise ConfigError(f"{where}.milestones[{j}]: expected [step, lr], got {m!r}")
     try:
-        return PhaseSchedule(
-            steps=doc["steps"],
-            batch_size=doc["batch_size"],
-            milestones=doc["milestones"],
-            momentum=float(doc.get("momentum", 0.9)),
-        )
+        return PhaseSchedule(**doc)
     except InputError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -205,13 +194,7 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
             reg=reg,
             pretrain=pretrain,
             finetune=finetune,
-            granularity=exp.get("granularity", "filter"),
-            reg_batch_size=exp.get("reg_batch_size", 64),
-            reg_lr=float(exp.get("reg_lr", 1e-3)),
-            reg_momentum=float(exp.get("reg_momentum", 0.9)),
-            reg_max_iters=exp.get("reg_max_iters", 500_000),
-            seed=exp.get("seed", 0),
-            metric_every=exp.get("metric_every", 200),
+            **{k: exp[k] for k in _EXP_OPTIONAL if k in exp},
         )
     except InputError as exc:
         raise ConfigError(f"experiment: {exc}") from exc

@@ -110,8 +110,8 @@ class ExperimentConfig:
                           ("metric_every", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.reg_lr > 0:
-            raise ConfigError(f"reg_lr must be > 0, got {self.reg_lr}")
+        if not 0 < float(self.reg_lr) < np.inf:
+            raise ConfigError(f"reg_lr must be finite and > 0, got {self.reg_lr}")
         if not 0 <= self.reg_momentum < 1:
             raise ConfigError(f"reg_momentum must lie in [0, 1), got {self.reg_momentum}")
         if self.method == "greg2":
@@ -441,6 +441,9 @@ def compare_schedules(exp: ExperimentConfig, n_seeds: int, kind: str = "l1") -> 
         raise ConfigError(f"need n_seeds >= 2, got {n_seeds}")
     if kind not in ("l1", "random"):
         raise ConfigError(f"kind must be 'l1' or 'random', got {kind!r}")
+    # a bad plan or an over-budget ramp fails before any seed pretrains
+    plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
+    _reg_ticks(replace(exp, method="greg1"), plan)
     per_seed = []
     accs = {"greg1": [], "oneshot": []}
     for s in range(n_seeds):
@@ -449,7 +452,6 @@ def compare_schedules(exp: ExperimentConfig, n_seeds: int, kind: str = "l1") -> 
         baseline = pretrain(exp_s, data)
         mask = None
         if kind == "random":
-            plan = parse_pruning_plan(exp_s.plan, len(baseline.layers), exp_s.granularity)
             mask = random_prune_set(baseline, plan, seed=[exp_s.seed, 3])
         rec_greg = run_method(exp_s, baseline=baseline, data=data, initial_mask=mask)
         exp_o = replace(

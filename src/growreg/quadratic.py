@@ -8,11 +8,14 @@ the converged weights ``w*``. Raising the L2 penalty by a small
 
 and the per-coordinate survival ratio ``r_i = w_hat_i / w*_i`` encodes the
 local curvature: flat directions collapse, stiff directions barely move.
-This module provides the closed forms (full, diagonal, and 2-d approximate),
-a plain gradient-descent minimizer that serves as an independent oracle for
-the closed forms, and a repeated-shrink simulator.
+This module provides the closed forms (full, diagonal, and 2-d approximate)
+and a plain gradient-descent minimizer that serves as an independent oracle
+for the closed forms. A penalty that keeps growing is a series of such
+bumps: the minimum after ``k`` bumps of ``delta`` against the original
+model is ``perturbed_minimum(model, k * delta)``.
 
-All functions are pure; inputs are never mutated.
+Every bump ``delta`` is a plain number. All functions are pure; inputs are
+never mutated.
 """
 
 from __future__ import annotations
@@ -77,48 +80,6 @@ class QuadraticModel:
         return float(pos[0]) if pos.size else None
 
 
-@dataclass(frozen=True)
-class PenaltyIncrement:
-    """A strictly positive bump of the L2 penalty factor."""
-
-    delta_lambda: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.delta_lambda) or self.delta_lambda <= 0:
-            raise DomainError(
-                f"delta_lambda must be finite and > 0, got {self.delta_lambda}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class ShrinkReport:
-    """Shifted minimum plus per-coordinate survival ratios.
-
-    ``ratios[i]`` is ``w_hat[i] / w_star[i]`` where defined; coordinates with
-    ``w_star[i] == 0`` carry ``defined[i] = False`` and a NaN placeholder
-    rather than silently propagating.
-    """
-
-    w_hat: np.ndarray
-    ratios: np.ndarray
-    defined: np.ndarray
-
-    @property
-    def spread(self) -> float:
-        """Max minus min over the defined ratios (0.0 if fewer than 2)."""
-        vals = self.ratios[self.defined]
-        if vals.size < 2:
-            return 0.0
-        return float(vals.max() - vals.min())
-
-
-def _delta(inc) -> float:
-    """Accept a PenaltyIncrement or a raw scalar (unvalidated)."""
-    if isinstance(inc, PenaltyIncrement):
-        return inc.delta_lambda
-    return float(inc)
-
-
 def _solve_shifted(model: QuadraticModel, delta: float) -> np.ndarray:
     """Solve (H + delta I) w = H w* by dense symmetric factorization."""
     if not np.isfinite(delta):
@@ -136,15 +97,14 @@ def _solve_shifted(model: QuadraticModel, delta: float) -> np.ndarray:
     return cho_solve(factor, rhs)
 
 
-def perturbed_minimum(model: QuadraticModel, inc) -> np.ndarray:
-    """New converged weights after bumping the penalty by ``inc``.
+def perturbed_minimum(model: QuadraticModel, delta: float) -> np.ndarray:
+    """New converged weights after bumping the penalty by ``delta``.
 
     Returns the solution of ``(H + delta I) w = H w*``. Warns when the bump
     is not small against the least positive curvature, where the
     small-increment reading of the ratios degrades; a non-finite bump is
     rejected without a warning.
     """
-    delta = _delta(inc)
     min_pos = model.min_positive_eigenvalue()
     if 0 < delta < np.inf and min_pos is not None and delta >= min_pos:
         warnings.warn(
@@ -155,13 +115,12 @@ def perturbed_minimum(model: QuadraticModel, inc) -> np.ndarray:
     return _solve_shifted(model, delta)
 
 
-def diagonal_ratio(h_ii: float, inc) -> float:
+def diagonal_ratio(h_ii: float, delta: float) -> float:
     """Survival ratio for an independent coordinate with curvature ``h_ii``.
 
     Equals ``1 / (delta/h_ii + 1)``; lies in [0, 1) and is 0 exactly at
     ``h_ii == 0``.
     """
-    delta = _delta(inc)
     if not np.isfinite(h_ii) or h_ii < 0:
         raise DomainError(f"h_ii must be finite and >= 0, got {h_ii}")
     if not np.isfinite(delta) or delta <= 0:
@@ -184,7 +143,7 @@ def _check_2d(model: QuadraticModel, delta: float):
     return h11, h12, h22, det_shifted
 
 
-def two_d_ratios(model: QuadraticModel, inc):
+def two_d_ratios(model: QuadraticModel, delta: float):
     """Coupled-pair survival ratios with the small-increment cross term dropped.
 
     r1 = (h11 h22 + h11 delta - h12^2) / det(H + delta I)
@@ -193,7 +152,6 @@ def two_d_ratios(model: QuadraticModel, inc):
     The dropped term is O(delta * h12), so these are exact at h12 = 0 and
     order the coordinates by curvature: r1 > r2 iff h11 > h22.
     """
-    delta = _delta(inc)
     h11, h12, h22, det = _check_2d(model, delta)
     common = h11 * h22 - h12 * h12
     r1 = (common + h11 * delta) / det
@@ -201,13 +159,12 @@ def two_d_ratios(model: QuadraticModel, inc):
     return r1, r2
 
 
-def two_d_ratios_exact(model: QuadraticModel, inc):
+def two_d_ratios_exact(model: QuadraticModel, delta: float):
     """Exact coupled-pair ratios, cross term included.
 
     Requires both converged weights to be nonzero since the ratios divide
     by them.
     """
-    delta = _delta(inc)
     _check_2d(model, delta)
     w = model.w_star
     if np.any(w == 0):
@@ -218,7 +175,7 @@ def two_d_ratios_exact(model: QuadraticModel, inc):
 
 def gd_minimize_quadratic(
     model: QuadraticModel,
-    inc,
+    delta: float,
     step: float,
     max_iters: int = 200_000,
     tol: float = 1e-12,
@@ -230,7 +187,6 @@ def gd_minimize_quadratic(
     ``(H + delta I) w - H w*`` has infinity-norm below ``tol``. Descent
     starts from ``w*``. Stable for ``step < 2 / (eig_max(H) + delta)``.
     """
-    delta = _delta(inc)
     if tol <= 0:
         raise DomainError(f"tol must be > 0, got {tol}")
     eig_max = float(model.eigenvalues[-1]) if model.dim else 0.0
@@ -257,27 +213,6 @@ def gd_minimize_quadratic(
         f"(final grad inf-norm {gnorm:.3e})",
         residual=float(gnorm),
     )
-
-
-def iterated_shrink(model: QuadraticModel, inc, steps: int):
-    """Shrink reports for cumulative penalties k * delta, k = 1..steps.
-
-    Each report compares against the original model, so step k reflects a
-    total penalty bump of ``k * delta``. For curvatures that differ, the
-    ratio spread widens as the cumulative penalty grows.
-    """
-    delta = _delta(inc)
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    w_star = model.w_star
-    defined = w_star != 0
-    reports = []
-    for k in range(1, steps + 1):
-        w_hat = _solve_shifted(model, k * delta)
-        ratios = np.full_like(w_star, np.nan)
-        np.divide(w_hat, w_star, out=ratios, where=defined)
-        reports.append(ShrinkReport(w_hat=w_hat, ratios=ratios, defined=defined))
-    return reports
 
 
 def random_psd_model(rng: np.random.Generator, dim: int, eig_low=0.1, eig_high=5.0):

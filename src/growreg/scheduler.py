@@ -71,6 +71,8 @@ class RegConfig:
             raise DomainError(f"k_update must be >= 1, got {self.k_update}")
         if self.k_stabilize < 0:
             raise DomainError(f"k_stabilize must be >= 0, got {self.k_stabilize}")
+        if not 0 <= self.base_decay < np.inf:
+            raise DomainError(f"base_decay must be finite and >= 0, got {self.base_decay}")
         if self.post_pick_delta_lambda is None:
             object.__setattr__(self, "post_pick_delta_lambda", self.delta_lambda)
         # ramp lengths are counted in increments that floats hold exactly
@@ -118,9 +120,6 @@ class RegState:
     @property
     def granularity(self):
         return self.plan.granularity
-
-    def prune_set_size(self):
-        return int(sum(len(p) for p in self.prune_sets))
 
     def prune_mask(self) -> Mask:
         """Keep-flags mask over the recorded prune sets."""
@@ -265,7 +264,7 @@ def tick(state: RegState, net: Network, cfg: RegConfig) -> dict:
             _pick(state, net)
         if state.pick is None or b < state.pick:
             state.lam = _ramp_lambda(cfg, b + 1, 0)
-        elif state.prune_set_size():  # an empty pick adds no increment
+        elif any(len(p) for p in state.prune_sets):  # an empty pick adds no increment
             state.lam = _ramp_lambda(cfg, state.pick, b - state.pick + 1)
         state.factors = _factors(state, net, cfg)
     state.iter += 1
@@ -291,7 +290,3 @@ def _pick(state: RegState, net: Network):
         np.flatnonzero(f == 1) if l in state.eligible_layers else np.zeros(0, dtype=int)
         for l, f in enumerate(mask.flags)
     ]
-
-
-def is_prune_ready(state: RegState) -> bool:
-    return state.phase == DONE

@@ -9,7 +9,7 @@ import pytest
 from conftest import mlp_specs, small_conv_net
 from growreg.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from growreg.errors import ConfigError
-from growreg.netcore import Network, OptimState
+from growreg.netcore import Network
 
 
 def test_net_roundtrip(tmp_path):
@@ -26,18 +26,14 @@ def test_net_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_optimizer_and_frozen_roundtrip(tmp_path):
+def test_frozen_roundtrip(tmp_path):
     net = Network.initialize(mlp_specs([5, 4]), (3,), 2, seed=10)
     net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
     net.frozen[0][0, 1] = True
-    opt = OptimState.for_network(net, 0.01, momentum=0.8, base_decay=1e-4)
-    opt.vel_w[0][:] = 0.5
     path = tmp_path / "full.ckpt"
-    save_checkpoint(path, net, opt, reg_state={"phase": "done", "iter": 7})
-    loaded, lopt, reg = load_checkpoint(path)
-    assert reg == {"phase": "done", "iter": 7}
-    assert lopt.learning_rate == 0.01 and lopt.momentum == 0.8
-    assert np.array_equal(lopt.vel_w[0], opt.vel_w[0])
+    save_checkpoint(path, net)
+    loaded, opt, reg = load_checkpoint(path)
+    assert opt is None and reg is None
     assert loaded.frozen[0] is not None
     assert bool(loaded.frozen[0][0, 1]) is True
     assert loaded.frozen[1] is None
@@ -45,10 +41,10 @@ def test_optimizer_and_frozen_roundtrip(tmp_path):
 
 def test_resave_is_byte_identical(tmp_path):
     net = small_conv_net(seed=11)
-    opt = OptimState.for_network(net, 0.02)
-    first = checkpoint_bytes(net, opt)
-    loaded, lopt, _ = load_checkpoint_path(tmp_path, first)
-    second = checkpoint_bytes(loaded, lopt)
+    net.frozen[1] = np.zeros_like(net.weights[1], dtype=bool)
+    first = checkpoint_bytes(net)
+    loaded, _, _ = load_checkpoint_path(tmp_path, first)
+    second = checkpoint_bytes(loaded)
     assert first == second
 
 
@@ -85,7 +81,7 @@ def test_trailing_bytes_rejected(tmp_path):
 def test_every_truncation_rejected(tmp_path):
     net = Network.initialize(mlp_specs([3]), (2,), 2, seed=15)
     net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
-    raw = checkpoint_bytes(net, OptimState.for_network(net, 0.01))
+    raw = checkpoint_bytes(net)
     path = tmp_path / "cut.ckpt"
     for n in range(len(raw) + 1):
         path.write_bytes(raw[:n])
@@ -93,22 +89,32 @@ def test_every_truncation_rejected(tmp_path):
             with pytest.raises(ConfigError, match="cut.ckpt"):
                 load_checkpoint(path)
         else:
-            loaded, opt, _ = load_checkpoint(path)
-            assert checkpoint_bytes(loaded, opt) == raw
+            loaded, _, _ = load_checkpoint(path)
+            assert checkpoint_bytes(loaded) == raw
 
 
 def test_velocity_of_other_shape_rejected(tmp_path):
+    # format 2 stores no optimizer state: a velocity blob in the
+    # directory, of whatever shape, is rejected with the path named
     net = Network.initialize(mlp_specs([3]), (2,), 2, seed=17)
-    raw = checkpoint_bytes(net, OptimState.for_network(net, 0.01))
+    raw = checkpoint_bytes(net)
     (hlen,) = struct.unpack("<Q", raw[12:20])
     header = json.loads(raw[20 : 20 + hlen])
-    blob = next(b for b in header["blobs"] if b["name"] == "vw0")
-    assert blob["shape"] == [2, 3]
-    blob["shape"] = [6]  # same byte count, other shape
+    header["blobs"].append({"name": "vw0", "shape": [6], "dtype": "<f8"})
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path = tmp_path / "vel.ckpt"
-    path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + hlen :])
-    with pytest.raises(ConfigError, match="vel.ckpt: layer 0 velocity shapes"):
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + hlen :]
+                     + np.zeros(6).tobytes())
+    with pytest.raises(ConfigError, match="vel.ckpt: checkpoint header: blobs .*'vw0'"):
+        load_checkpoint(path)
+
+
+def test_version_1_rejected(tmp_path):
+    raw = checkpoint_bytes(Network.initialize(mlp_specs([3]), (2,), 2, seed=19))
+    assert struct.unpack("<I", raw[8:12]) == (2,)
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
+    with pytest.raises(ConfigError, match="old.ckpt: unsupported checkpoint version 1$"):
         load_checkpoint(path)
 
 
@@ -135,14 +141,13 @@ def test_every_header_bit_flip_rejected_or_identical(tmp_path):
 def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
     net = Network.initialize(mlp_specs([3]), (2,), 2, seed=18)
     net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
-    opt = OptimState.for_network(net, 0.01)
     # magnitudes in [1, 2): flipping the top exponent bit of any of them
-    # gives an infinity or a NaN, in weights, biases and velocities alike
+    # gives an infinity or a NaN, in weights and biases alike
     rng = np.random.default_rng(0)
-    floats = net.weights + net.biases + opt.vel_w + opt.vel_b
+    floats = net.weights + net.biases
     for arr in floats:
         arr[...] = rng.uniform(1, 2, arr.shape) * rng.choice([-1, 1], arr.shape)
-    raw = checkpoint_bytes(net, opt)
+    raw = checkpoint_bytes(net)
     (hlen,) = struct.unpack("<Q", raw[12:20])
     owner, start = {}, 20 + hlen  # byte offset -> name of the blob holding it
     for blob in json.loads(raw[20:start])["blobs"]:
@@ -157,13 +162,13 @@ def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
             flipped[pos] ^= 1 << bit
             path.write_bytes(bytes(flipped))
             try:
-                loaded, opt, _ = load_checkpoint(path)
+                loaded, _, _ = load_checkpoint(path)
             except ConfigError as exc:
                 expected = f"blob.ckpt: blob {owner[pos]} holds non-finite values"
                 assert str(exc).endswith(expected), (pos, bit)
                 rejected += 1
                 continue
-            for arr in loaded.weights + loaded.biases + opt.vel_w + opt.vel_b:
+            for arr in loaded.weights + loaded.biases:
                 assert np.all(np.isfinite(arr)), (pos, bit)
     # exactly the flips that set a value's exponent to all ones
     assert rejected == sum(arr.size for arr in floats)

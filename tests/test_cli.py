@@ -172,6 +172,21 @@ class TestPipelineCommands:
         assert len(result.output.strip().splitlines()) == 1
         assert "dense 12 relu" in result.output and "dense 16 relu" in result.output
 
+    def test_run_rejects_version_1_baseline(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path)
+        base = tmp_path / "base"
+        runner.invoke(main, ["pretrain", "--config", str(cfg), "--out", str(base)])
+        ckpt = base / "baseline.ckpt"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:8] + (1).to_bytes(4, "little") + raw[12:])
+        result = runner.invoke(
+            main, ["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                   "--baseline", str(ckpt)]
+        )
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+        assert "unsupported checkpoint version 1" in result.output
+
     def test_run_byte_identical_records(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)
         outs = []
@@ -277,8 +292,11 @@ class TestValidationExitCodes:
         ("finetune.momentum", 1.0),
         ("reg_batch_size", 0),
         ("reg_lr", 0.0),
+        ("reg_lr", float("inf")),
         ("reg_momentum", -0.1),
         ("reg_max_iters", -1),
+        ("reg.base_decay", float("nan")),
+        ("reg.base_decay", -1.0),
     ])
     def test_bad_field_names_path(self, runner, tmp_path, field, value):
         cfg = tiny_config(tmp_path)

@@ -10,7 +10,13 @@ from conftest import mlp_specs
 from growreg import harness, scheduler
 from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
-from growreg.errors import BudgetExceededError, ConfigError, DomainError, NumericError
+from growreg.errors import (
+    BudgetExceededError,
+    ConfigError,
+    DomainError,
+    NumericError,
+    PlanError,
+)
 from growreg.groups import Mask, apply_hard_prune, group_counts
 from growreg.harness import (
     ExperimentConfig,
@@ -330,6 +336,19 @@ class TestCompare:
     def test_seed_count_validated(self):
         with pytest.raises(ConfigError):
             compare_schedules(quick_config(), n_seeds=1)
+
+    @pytest.mark.parametrize("change, error", [
+        ({"plan": "[0, 0, 0.5]"}, PlanError),  # ratio on the unprunable output
+        ({"reg_max_iters": 10}, BudgetExceededError),
+    ])
+    def test_rejected_before_any_seed_pretrains(self, monkeypatch, change, error):
+        def no_pretrain(*args):
+            raise AssertionError("pretrained before the comparison was rejected")
+
+        monkeypatch.setattr(harness, "pretrain", no_pretrain)
+        for kind in ("l1", "random"):
+            with pytest.raises(error):
+                compare_schedules(replace(quick_config(), **change), 2, kind=kind)
 
 
 class TestFinetune:

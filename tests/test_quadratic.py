@@ -10,11 +10,9 @@ from growreg.errors import (
     SingularSystemError,
 )
 from growreg.quadratic import (
-    PenaltyIncrement,
     QuadraticModel,
     diagonal_ratio,
     gd_minimize_quadratic,
-    iterated_shrink,
     perturbed_minimum,
     random_psd_model,
     two_d_ratios,
@@ -48,18 +46,12 @@ class TestModelValidation:
         model = QuadraticModel(h, np.ones(2))
         assert np.max(np.abs(model.hessian - model.hessian.T)) < 1e-12
 
-    def test_penalty_increment_must_be_positive(self):
-        with pytest.raises(DomainError):
-            PenaltyIncrement(0.0)
-        with pytest.raises(DomainError):
-            PenaltyIncrement(-0.1)
-
 
 class TestPerturbedMinimum:
     def test_identity_hessian_uniform_shrink(self):
         model = QuadraticModel(np.eye(2), np.array([1.0, 1.0]))
         with pytest.warns(UserWarning, match="small-increment"):
-            w_hat = perturbed_minimum(model, PenaltyIncrement(1.0))
+            w_hat = perturbed_minimum(model, 1.0)
         assert np.allclose(w_hat, [0.5, 0.5], atol=1e-14)
 
     def test_diagonal_per_coordinate_shrink(self):
@@ -97,7 +89,7 @@ class TestPerturbedMinimum:
 
 class TestDiagonalRatio:
     def test_zero_curvature_collapses(self):
-        assert diagonal_ratio(0.0, PenaltyIncrement(0.3)) == 0.0
+        assert diagonal_ratio(0.0, 0.3) == 0.0
 
     def test_matched_scales_give_half(self):
         assert diagonal_ratio(0.7, 0.7) == pytest.approx(0.5, abs=1e-15)
@@ -110,6 +102,8 @@ class TestDiagonalRatio:
             diagonal_ratio(-1.0, 0.1)
         with pytest.raises(DomainError):
             diagonal_ratio(1.0, 0.0)
+        with pytest.raises(DomainError):
+            diagonal_ratio(1.0, -0.1)
 
     def test_monotone_in_curvature(self, rng):
         pairs = rng.uniform(0.0, 10.0, size=(1000, 2))
@@ -200,35 +194,36 @@ class TestDescentOracle:
         assert err.value.residual > 0
 
 
+# cumulative bumps outgrow the small-increment regime, which is expected here
+@pytest.mark.filterwarnings("ignore:delta_lambda .* is not small:UserWarning")
 class TestIteratedShrink:
+    """Shrinkage under a growing penalty: ``k`` bumps of ``delta``, each
+    solved against the original model as ``perturbed_minimum(k * delta)``."""
+
+    @staticmethod
+    def ratios(model, delta, steps):
+        return [perturbed_minimum(model, k * delta) / model.w_star
+                for k in range(1, steps + 1)]
+
+    @staticmethod
+    def spread(ratios):
+        return float(ratios.max() - ratios.min())
+
     def test_diagonal_closed_form_and_growing_spread(self):
         model = QuadraticModel(np.diag([1.0, 10.0]), np.array([1.0, 1.0]))
-        reports = iterated_shrink(model, 0.5, steps=4)
         spreads = []
-        for k, rep in enumerate(reports, start=1):
+        for k, ratios in enumerate(self.ratios(model, 0.5, steps=4), start=1):
             expected = np.array([1.0 / (1.0 + 0.5 * k), 10.0 / (10.0 + 0.5 * k)])
-            assert np.allclose(rep.ratios, expected, atol=1e-12)
-            spreads.append(rep.spread)
+            assert np.allclose(ratios, expected, atol=1e-12)
+            spreads.append(self.spread(ratios))
         assert all(b > a for a, b in zip(spreads, spreads[1:]))
 
     def test_isotropic_spread_is_zero(self):
         model = QuadraticModel(np.eye(3), np.array([2.0, -1.0, 0.5]))
-        for rep in iterated_shrink(model, 0.2, steps=5):
-            assert rep.spread < 1e-14
+        for ratios in self.ratios(model, 0.2, steps=5):
+            assert self.spread(ratios) < 1e-14
 
     def test_coupled_spread_strictly_increases(self):
         model = QuadraticModel(np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([1.0, 1.0]))
-        spreads = [rep.spread for rep in iterated_shrink(model, 0.1, steps=10)]
+        spreads = [self.spread(r) for r in self.ratios(model, 0.1, steps=10)]
         assert all(b > a for a, b in zip(spreads, spreads[1:]))
-
-    def test_zero_weight_coordinates_flagged(self):
-        model = QuadraticModel(np.diag([1.0, 2.0]), np.array([1.0, 0.0]))
-        rep = iterated_shrink(model, 0.1, steps=1)[0]
-        assert rep.defined.tolist() == [True, False]
-        assert np.isnan(rep.ratios[1])
-        assert np.isfinite(rep.ratios[0])
-
-    def test_steps_must_be_positive(self):
-        model = QuadraticModel(np.eye(2), np.ones(2))
-        with pytest.raises(DomainError):
-            iterated_shrink(model, 0.1, steps=0)

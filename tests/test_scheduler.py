@@ -21,7 +21,6 @@ from growreg.scheduler import (
     RegConfig,
     greg1_init,
     greg2_init,
-    is_prune_ready,
     ramp_length,
     tick,
 )
@@ -59,7 +58,6 @@ class TestFixedSetInit:
         plan = parse_pruning_plan("[0, 0]", 2)
         state = greg1_init(net, plan, RegConfig(delta_lambda=0.1, tau=1.0))
         assert state.phase == DONE
-        assert is_prune_ready(state)
 
     def test_smallest_norm_groups_selected(self):
         net = dense_net()
@@ -157,7 +155,7 @@ class TestTick:
         assert state.phase == STABILIZING
         assert state.lam > 1.0
         total = growing + 1
-        while not is_prune_ready(state):
+        while state.phase != DONE:
             tick(state, net, cfg)
             total += 1
         assert total == 10 * int(1.0 / 1e-3) + 7
@@ -195,7 +193,7 @@ class TestTick:
         cfg = RegConfig(delta_lambda=0.05, tau=0.5, k_update=2, k_stabilize=4)
         state = greg1_init(net, plan, cfg)
         initial = [p.copy() for p in state.prune_sets]
-        while not is_prune_ready(state):
+        while state.phase != DONE:
             tick(state, net, cfg)
             assert all(np.array_equal(a, b) for a, b in zip(initial, state.prune_sets))
 
@@ -206,7 +204,7 @@ class TestTick:
                         k_stabilize=5, base_decay=5e-4)
         state = greg2_init(net, plan, cfg)
         saw_picked = False
-        while not is_prune_ready(state):
+        while state.phase != DONE:
             lambdas = tick(state, net, cfg)
             if state.phase == GROWING:
                 # pre-pick: nothing carries a negative factor
@@ -229,14 +227,14 @@ class TestTick:
         plan = parse_pruning_plan("[0.5, 0]", 2)
         cfg = RegConfig(delta_lambda=0.5, tau=0.6, k_update=1, k_stabilize=3)
         state = greg1_init(net, plan, cfg)
-        assert not is_prune_ready(state)
+        assert state.phase != DONE
         stab_ticks = 0
-        while not is_prune_ready(state):
+        while state.phase != DONE:
             tick(state, net, cfg)
             if state.phase in (STABILIZING, DONE):
                 stab_ticks += 1
                 # ready exactly when k_stabilize stabilizing ticks have run
-                assert is_prune_ready(state) == (stab_ticks == 3)
+                assert (state.phase == DONE) == (stab_ticks == 3)
         assert stab_ticks == 3
 
     def test_prune_mask_matches_sets(self):
@@ -293,14 +291,14 @@ class TestRampLength:
                                                          cfg.tau_prime))
                 assert above(first * cfg.delta_lambda, cfg.tau)
                 return
-        if state.prune_set_size() == 0:
+        if not any(len(p) for p in state.prune_sets):
             # greg1 with an empty set has no ramp at all
-            assert is_prune_ready(state) and state.ticks == 0
+            assert state.phase == DONE and state.ticks == 0
             return
         # (incoming lambda, new lambda, phase after, kept groups after) per
         # boundary of the ramp, boundary b at row b
         rows, ticks = [], 0
-        while not is_prune_ready(state):
+        while state.phase != DONE:
             ramping = state.phase in (GROWING, PICKED)
             boundary = ramping and state.iter % cfg.k_update == 0
             lam_in = state.lam
@@ -318,7 +316,7 @@ class TestRampLength:
             pick = next(b for b, r in enumerate(rows) if r[3])
             assert pick == next(b for b, r in enumerate(rows)
                                 if above(r[0], cfg.tau_prime))
-            pick_empty = state.prune_set_size() == 0
+            pick_empty = not any(len(p) for p in state.prune_sets)
         else:
             assert not any(r[3] for r in rows)
         if pick_empty:
@@ -380,7 +378,7 @@ class TestTickProperties:
         expand = mock.Mock(wraps=scheduler.expand_group_values)
         factors, boundaries = None, 0
         with mock.patch.object(scheduler, "expand_group_values", expand):
-            while not is_prune_ready(state):
+            while state.phase != DONE:
                 phase, lam, prev = state.phase, state.lam, factors
                 boundary = phase in (GROWING, PICKED) and state.iter % cfg.k_update == 0
                 boundaries += boundary
