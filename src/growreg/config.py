@@ -1,18 +1,19 @@
 """Experiment configuration documents: schema, validation, presets.
 
 Configs are JSON with an explicit ``schema_version`` so experiment inputs
-stay diffable and archivable. Validation is strict: unknown keys and
-mistyped values are rejected, naming the field path. A ``preset`` key fills
-the regularization constants and explicit ``reg`` keys override it; a
-preset passed to :func:`load_config` replaces the document's key. ``desk``
-finishes in minutes on toy nets, ``paper`` carries the reference constants
-(very long ramps; documented, not meant for CI).
+stay diffable and archivable. Validation is strict: unknown keys, mistyped
+values and non-finite numbers are rejected, naming the field path. A
+``preset`` key fills the regularization constants and explicit ``reg`` keys
+override it; a preset passed to :func:`load_config` replaces the
+document's key. ``desk`` finishes in minutes on toy nets, ``paper`` carries
+the reference constants (very long ramps; documented, not meant for CI).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 from .checkpoint import _field, _ints
 from .errors import ConfigError, InputError
@@ -103,7 +104,16 @@ def _check_keys(doc, allowed, required, where):
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
     for key in doc:
-        _field(doc, key, _TYPES[key], where)
+        val = _field(doc, key, _TYPES[key], where)
+        if _TYPES[key] is not int and type(val) in _NUMBER:
+            _finite(val, f"{where}.{key}")
+
+
+def _finite(val, where):
+    """Reject nan, inf and ints beyond float range (compared exactly, no overflow)."""
+    if not abs(val) <= sys.float_info.max:
+        shown = repr(val) if isinstance(val, float) else "an integer beyond float range"
+        raise ConfigError(f"{where}: expected a finite number, got {shown}")
 
 
 def _layers_from(doc):
@@ -127,6 +137,7 @@ def _phase_from(doc, where):
         if not (isinstance(m, list) and len(m) == 2 and type(m[0]) is int
                 and type(m[1]) in _NUMBER):
             raise ConfigError(f"{where}.milestones[{j}]: expected [step, lr], got {m!r}")
+        _finite(m[1], f"{where}.milestones[{j}]")
     try:
         return PhaseSchedule(**doc)
     except InputError as exc:
@@ -177,9 +188,6 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
         raise ConfigError(f"experiment.dataset.path: {ds.get('path')!r} not found")
 
     method = exp["method"]
-    if not exp["plan"].strip():
-        raise ConfigError("experiment.plan: must be a non-empty plan string")
-
     reg = _reg_from(exp.get("reg"), preset or doc.get("preset"), method, "experiment.reg")
     pretrain = _phase_from(exp["pretrain"], "experiment.pretrain")
     finetune = _phase_from(exp["finetune"], "experiment.finetune")

@@ -1,11 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Two branches matter to callers: ``InputError`` covers anything wrong with
-user-supplied data (configs, plan strings, matrices, flag values) and maps
-to CLI exit code 2; ``ExecutionError`` covers failures of an otherwise
-valid run (divergence, singular systems, protocol violations) and maps to
-exit code 3. Tolerance failures in verification commands use exit code 4
-without a dedicated exception.
+user-supplied data (configs, plan strings, matrices, flag values, a ramp
+over budget) and maps to CLI exit code 2; ``ExecutionError`` covers
+failures of a valid run (divergence, singular systems, protocol
+violations) and maps to exit code 3. Tolerance failures in verification
+commands use exit code 4 without a dedicated exception.
 """
 
 
@@ -63,10 +63,6 @@ class StructureError(ExecutionError):
 
 class ScheduleError(ExecutionError):
     """Regularization state machine used outside its contract."""
-
-
-class BudgetExceededError(ExecutionError):
-    """An iteration cap was hit before the schedule finished."""
 
 
 class ProtocolError(ExecutionError):

@@ -243,17 +243,15 @@ def random_prune_set(net: Network, plan: PruningPlan, seed: int) -> Mask:
     return Mask(granularity=plan.granularity, flags=flags)
 
 
-def validate_plan_against(net: Network, plan: PruningPlan):
-    """Reject plans that target non-prunable layers or mismatch the net."""
-    if plan.num_layers != len(net.layers):
+def validate_plan_against(layers, plan: PruningPlan):
+    """Reject plans that target non-prunable layers or mismatch the layer specs."""
+    if plan.num_layers != len(layers):
         raise PlanError(
-            f"plan covers {plan.num_layers} layers, network has {len(net.layers)}"
+            f"plan covers {plan.num_layers} layers, network has {len(layers)}"
         )
-    for l, (spec, r) in enumerate(zip(net.layers, plan.ratios)):
+    for l, (spec, r) in enumerate(zip(layers, plan.ratios)):
         if r > 0 and not spec.prunable:
             raise PlanError(f"layer {l} is not prunable but has ratio {r}")
-        if r > 0 and l in plan.never_prune:
-            raise PlanError(f"layer {l} is protected but has ratio {r}")
     if plan.ratios and plan.ratios[-1] > 0:
         raise PlanError("final classifier layer cannot be pruned")
 

@@ -1,7 +1,9 @@
 """End-to-end experiment pipelines: pretrain, regularize, prune, fine-tune.
 
-Every phase runs through one SGD loop; the ramp takes its penalties from
-one scheduler tick per step, for a tick count known before the first tick.
+An ``ExperimentConfig`` is checked when it is built: its plan against its
+layers for every method, and a ramp's ``ramp_length`` against
+``reg_max_iters``. Every phase runs through one SGD loop, which takes the
+ramp's penalties from one scheduler tick per step.
 
 The harness owns the comparison protocols. A same-set comparison runs the
 ramped schedule and one-shot pruning from one shared baseline with the
@@ -21,15 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    DomainError,
-    ProtocolError,
-)
+from .errors import ConfigError, DomainError, ProtocolError
 from .datasets import Dataset, load_csv_dataset, make_dataset
 from .groups import (
     Mask,
+    PruningPlan,
     apply_hard_prune,
     group_l1_norms,
     norm_dispersion,
@@ -37,6 +35,7 @@ from .groups import (
     random_prune_set,
     select_prune_set,
     sparsity,
+    validate_plan_against,
 )
 from .netcore import Network, OptimState, accuracy, loss_and_grads, sgd_step
 from .scheduler import (
@@ -86,6 +85,8 @@ class PhaseSchedule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked experiment (see the module notes); ``pruning_plan`` is its plan."""
+
     layers: tuple
     input_shape: tuple
     classes: int
@@ -102,6 +103,7 @@ class ExperimentConfig:
     reg_max_iters: int = 500_000
     seed: int = 0
     metric_every: int = 200
+    pruning_plan: PruningPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -114,10 +116,19 @@ class ExperimentConfig:
             raise ConfigError(f"reg_lr must be finite and > 0, got {self.reg_lr}")
         if not 0 <= self.reg_momentum < 1:
             raise ConfigError(f"reg_momentum must lie in [0, 1), got {self.reg_momentum}")
-        if self.method == "greg2":
-            ramp_length(self.reg, "greg2")  # rejects ramps that cannot pick
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        plan = parse_pruning_plan(self.plan, len(self.layers), self.granularity)
+        validate_plan_against(self.layers, plan)
+        object.__setattr__(self, "pruning_plan", plan)
+        if self.method in ("greg1", "greg2"):
+            # raises DomainError for a greg2 ramp that cannot pick
+            ticks = ramp_length(self.reg, self.method)
+            if ticks > self.reg_max_iters:
+                raise ConfigError(
+                    f"regularization phase needs {ticks} iterations, over "
+                    f"reg_max_iters {self.reg_max_iters}"
+                )
 
 
 @dataclass(eq=False)
@@ -171,12 +182,6 @@ def build_dataset(exp: ExperimentConfig, seed_shift: int = 0) -> Dataset:
     return make_dataset(kind, **spec)
 
 
-def build_network(exp: ExperimentConfig) -> Network:
-    return Network.initialize(
-        exp.layers, exp.input_shape, exp.classes, seed=[exp.seed, 0]
-    )
-
-
 def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
            on_step=None):
     """The SGD loop of every phase: ``sched.steps`` momentum-SGD steps.
@@ -207,7 +212,9 @@ def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
 def pretrain(exp: ExperimentConfig, data: Dataset = None) -> Network:
     """Train a fresh baseline; zero steps returns the initialized net as is."""
     data = data or build_dataset(exp)
-    net = build_network(exp)
+    net = Network.initialize(
+        exp.layers, exp.input_shape, exp.classes, seed=[exp.seed, 0]
+    )
     rng = np.random.default_rng([exp.seed, 1])
     return _train(net, data, exp.pretrain, rng, exp.reg.base_decay)
 
@@ -262,28 +269,6 @@ def _run_reg_phase(net, data, exp, state, record, control=False):
            None if control else lambda step: tick(state, net, exp.reg), on_step)
 
 
-def _init_state(exp, net, plan, initial_mask):
-    if exp.method == "greg2":
-        return greg2_init(net, plan, exp.reg)
-    return greg1_init(net, plan, exp.reg, initial_mask)
-
-
-def _reg_ticks(exp, plan, initial_mask=None):
-    """Ticks the ramp of ``exp`` runs; ``BudgetExceededError`` over budget.
-
-    The count depends only on the network's shapes, so it is taken from
-    the state an untrained network of the configured topology initializes,
-    before any training.
-    """
-    ticks = _init_state(exp, build_network(exp), plan, initial_mask).ticks
-    if ticks > exp.reg_max_iters:
-        raise BudgetExceededError(
-            f"regularization phase needs {ticks} iterations, over "
-            f"reg_max_iters {exp.reg_max_iters}"
-        )
-    return ticks
-
-
 def run_method(
     exp: ExperimentConfig,
     baseline: Network = None,
@@ -296,8 +281,8 @@ def run_method(
     methods run the scheduler to done first, prune exactly the recorded
     set, then fine-tune under the shared schedule. ``initial_mask``
     overrides the selection step (used by the shared-random-set protocol).
-    A ``baseline`` must have the configured topology, and a ramp over
-    ``reg_max_iters`` is rejected before pretraining.
+    ``exp`` was checked when built; a ``baseline`` must have the configured
+    topology. The summary's ``reg_ticks`` counts the ticks the ramp ran.
     """
     data = data or build_dataset(exp)
     if data.classes != exp.classes:
@@ -312,14 +297,12 @@ def run_method(
                 f"baseline topology ({_topology(*have)}) differs from the "
                 f"config's ({_topology(*want)})"
             )
-    plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
-    ramped = exp.method in ("greg1", "greg2")
-    reg_ticks = _reg_ticks(exp, plan, initial_mask) if ramped else 0
+    plan = exp.pruning_plan
     net = (baseline or pretrain(exp, data)).clone()
     record = ExperimentRecord(n_layers=len(net.layers))
     baseline_acc = accuracy(net, data.val_x, data.val_y)
 
-    if not ramped:
+    if exp.method not in ("greg1", "greg2"):
         if initial_mask is not None:
             mask = initial_mask
         elif exp.method == "oneshot_l1":
@@ -329,10 +312,14 @@ def run_method(
         pre_prune_acc = baseline_acc
         state = None
     else:
-        state = _init_state(exp, net, plan, initial_mask)
+        if exp.method == "greg2":
+            state = greg2_init(net, plan, exp.reg)
+        else:
+            state = greg1_init(net, plan, exp.reg, initial_mask)
         _run_reg_phase(net, data, exp, state, record)
         mask = state.prune_mask()
         pre_prune_acc = accuracy(net, data.val_x, data.val_y)
+    reg_ticks = state.ticks if state is not None else 0
 
     pruned = apply_hard_prune(net, mask, exp.granularity)
     post_prune_acc = accuracy(pruned, data.val_x, data.val_y)
@@ -441,18 +428,16 @@ def compare_schedules(exp: ExperimentConfig, n_seeds: int, kind: str = "l1") -> 
         raise ConfigError(f"need n_seeds >= 2, got {n_seeds}")
     if kind not in ("l1", "random"):
         raise ConfigError(f"kind must be 'l1' or 'random', got {kind!r}")
-    # a bad plan or an over-budget ramp fails before any seed pretrains
-    plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
-    _reg_ticks(replace(exp, method="greg1"), plan)
     per_seed = []
     accs = {"greg1": [], "oneshot": []}
     for s in range(n_seeds):
+        # built as greg1, so a bad plan or ramp fails before any seed pretrains
         exp_s = replace(exp, seed=exp.seed + s, method="greg1")
         data = build_dataset(exp_s, seed_shift=s)
         baseline = pretrain(exp_s, data)
         mask = None
         if kind == "random":
-            mask = random_prune_set(baseline, plan, seed=[exp_s.seed, 3])
+            mask = random_prune_set(baseline, exp_s.pruning_plan, seed=[exp_s.seed, 3])
         rec_greg = run_method(exp_s, baseline=baseline, data=data, initial_mask=mask)
         exp_o = replace(
             exp_s, method="oneshot_l1" if kind == "l1" else "random_subset"
@@ -496,12 +481,10 @@ def track_separation(exp: ExperimentConfig, control: bool = False) -> Experiment
     growing penalty adds.
     """
     exp = replace(exp, method="greg2")
-    plan = parse_pruning_plan(exp.plan, len(exp.layers), exp.granularity)
-    ticks = _reg_ticks(exp, plan)
     data = build_dataset(exp)
     net = pretrain(exp, data).clone()
     record = ExperimentRecord(n_layers=len(net.layers))
-    state = greg2_init(net, plan, exp.reg)
+    state = greg2_init(net, exp.pruning_plan, exp.reg)
     _run_reg_phase(net, data, exp, state, record, control)
-    record.summary = {"mode": "control" if control else "greg2", "ticks": ticks}
+    record.summary = {"mode": "control" if control else "greg2", "ticks": state.ticks}
     return record

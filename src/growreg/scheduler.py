@@ -167,7 +167,7 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig,
     smallest-L1 groups. It never changes afterwards, which is what makes
     same-set comparisons against one-shot pruning meaningful.
     """
-    validate_plan_against(net, plan)
+    validate_plan_against(net.layers, plan)
     if mask is None:
         mask = select_prune_set(group_l1_norms(net, plan.granularity), plan)
     prune_sets = [np.flatnonzero(f == 0) for f in mask.flags]
@@ -176,7 +176,7 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig,
 
 def greg2_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
     """Picking schedule: start with every prunable group under the ramp."""
-    validate_plan_against(net, plan)
+    validate_plan_against(net.layers, plan)
     eligible = _eligible_layers(net, plan)
     prune_sets = [
         np.arange(n, dtype=int) if l in eligible else np.zeros(0, dtype=int)

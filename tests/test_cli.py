@@ -1,12 +1,15 @@
 """CLI subcommands: artifacts, exit codes, idempotent outputs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from growreg.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -349,14 +352,68 @@ class TestValidationExitCodes:
         for name in ("delta_lambda", "tau_prime", "tau"):
             assert name in result.output
 
-    def test_budget_exhaustion_is_runtime_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("field, text", [
+        ("experiment.pretrain.milestones.0.1", "1e400"),  # read as inf
+        ("experiment.pretrain.milestones.0.1", "1" + "0" * 400),
+        ("experiment.finetune.milestones.0.1", "NaN"),
+        ("experiment.reg_lr", "1" + "0" * 400),
+        ("experiment.dataset.noise", "1" + "0" * 400),
+        ("experiment.reg.tau", "1" + "0" * 400),
+    ], ids=lambda v: v if len(v) < 40 else "10**400")
+    def test_non_finite_number_names_path(self, runner, tmp_path, field, text):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[int(name)] if name.isdigit() else node[name]
+        node[int(key) if key.isdigit() else key] = "VALUE"
+        cfg.write_text(json.dumps(doc).replace('"VALUE"', text))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out",
+                                      str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert "finite" in result.output
+        assert all(part in result.output for part in parents if not part.isdigit())
+
+    @pytest.mark.parametrize("command, method, layer", [
+        ("run", "oneshot_l1", 1),
+        ("run", "random_subset", 1),
+        ("run", "oneshot_l1", 2),  # the output layer
+        ("pretrain", "greg1", 2),
+    ])
+    def test_plan_error_exits_2_before_any_work(self, runner, tmp_path, command,
+                                                method, layer):
+        cfg = tiny_config(tmp_path, method=method)
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["net"]["layers"][layer]["prunable"] = False
+        doc["experiment"]["plan"] = "[0, 0.5, 0]" if layer == 1 else "[0, 0, 0.5]"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert f"layer {layer} is not prunable" in result.output
+        assert not out.exists()  # the output directory follows the load
+
+    def test_budget_exhaustion_is_input_error(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)
         doc = json.loads(cfg.read_text())
         doc["experiment"]["reg_max_iters"] = 3
         cfg.write_text(json.dumps(doc))
         result = runner.invoke(main, ["run", "--config", str(cfg), "--out",
                                       str(tmp_path / "x")])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+        assert "needs 80 iterations, over reg_max_iters 3" in result.output
+
+    def test_paper_preset_greg2_over_budget_exits_2(self, runner, tmp_path):
+        cfg = CONFIG_DIR / "greg2_desk.json"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--preset", "paper",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+        assert "needs 1005000 iterations, over reg_max_iters 500000" in result.output
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 """Config document validation: strict keys, presets, field-naming errors."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from growreg.config import PRESETS, config_from_dict, load_config
 from growreg.errors import ConfigError
+from growreg.harness import METHODS
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def minimal_doc(**overrides):
@@ -133,6 +136,21 @@ def test_shipped_configs_parse():
         assert exp.classes == 2
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_load_under_every_method(path, method):
+    doc = json.loads(path.read_text())
+    doc["experiment"]["method"] = method
+    assert config_from_dict(doc).method == method
+
+
+def test_readme_config_example_loads():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    config_from_dict(json.loads(blocks[0]))
+
+
 def _paths(node, prefix=()):
     """Every key path below ``node``, depth first."""
     items = node.items() if isinstance(node, dict) else (
@@ -143,7 +161,9 @@ def _paths(node, prefix=()):
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats()
+    # st.integers() stays within 128 bits; the wide range goes past float's range
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+    | st.floats()
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mlp_specs, small_conv_net
 from growreg.errors import DimensionError, DomainError, PlanError, StructureError
 from growreg.groups import (
+    GRANULARITIES,
     GroupNorms,
     Mask,
     PruningPlan,
@@ -266,13 +269,35 @@ class TestPlanParsing:
         with pytest.raises(PlanError):
             PruningPlan(ratios=(0.4, 0.0), never_prune=frozenset({0}))
 
+    @settings(max_examples=300, deadline=None)
+    @given(ratios=st.lists(st.floats(0, 1) | st.sampled_from([0.0, 0.5, 1.0]),
+                           min_size=1, max_size=8),
+           granularity=st.sampled_from(GRANULARITIES), ranges=st.booleans(),
+           data=st.data())
+    def test_format_then_parse_gives_equal_plan(self, ratios, granularity, ranges,
+                                                data):
+        if ranges:  # runs of equal ratios as "lo-hi:r", in any order
+            items, lo = [], 0
+            for hi in range(len(ratios)):
+                if hi + 1 == len(ratios) or ratios[hi + 1] != ratios[lo]:
+                    span = f"{lo}-{hi}" if hi > lo else f"{lo}"
+                    items.append(f"{span}:{ratios[lo]!r}")
+                    lo = hi + 1
+            text = "[" + ", ".join(data.draw(st.permutations(items))) + "]"
+        else:
+            text = "[" + ", ".join(map(repr, ratios)) + "]"
+        plan = parse_pruning_plan(text, len(ratios), granularity)
+        assert plan.ratios == tuple(ratios)
+        again = parse_pruning_plan(format_pruning_plan(plan), len(ratios), granularity)
+        assert again == plan
+
     def test_plan_validation_against_network(self):
-        net = Network.initialize(mlp_specs([4, 4]), (3,), 2, seed=0)
-        validate_plan_against(net, parse_pruning_plan("[0, 0.5, 0]", 3))
+        layers = mlp_specs([4, 4])
+        validate_plan_against(layers, parse_pruning_plan("[0, 0.5, 0]", 3))
         with pytest.raises(PlanError):
-            validate_plan_against(net, parse_pruning_plan("[0, 0.5, 0.5]", 3))
+            validate_plan_against(layers, parse_pruning_plan("[0, 0.5, 0.5]", 3))
         with pytest.raises(PlanError):
-            validate_plan_against(net, parse_pruning_plan("[0, 0.5]", 2))
+            validate_plan_against(layers, parse_pruning_plan("[0, 0.5]", 2))
 
 
 class TestDispersion:

@@ -11,7 +11,6 @@ from growreg import harness, scheduler
 from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
 from growreg.errors import (
-    BudgetExceededError,
     ConfigError,
     DomainError,
     NumericError,
@@ -132,7 +131,7 @@ class TestPhaseSchedule:
 
 class TestPretrain:
     def test_blobs_two_layer_reaches_95(self):
-        exp = quick_config(hidden=(16,), pre_steps=2000)
+        exp = quick_config(hidden=(16,), plan="[0, 0]", pre_steps=2000)
         data = build_dataset(exp)
         net = pretrain(exp, data)
         assert accuracy(net, data.val_x, data.val_y) > 0.95
@@ -199,9 +198,8 @@ class TestRunMethod:
 
         monkeypatch.setattr(harness, "tick", no_tick)
         monkeypatch.setattr(harness, "pretrain", no_pretrain)
-        exp = replace(quick_config(), reg_max_iters=5)
-        with pytest.raises(BudgetExceededError, match="reg_max_iters 5"):
-            run_method(exp)
+        with pytest.raises(ConfigError, match="reg_max_iters 5"):
+            run_method(replace(quick_config(), reg_max_iters=5))
 
     @pytest.mark.parametrize("method", ["greg1", "greg2"])
     def test_ramp_builds_factors_once_per_boundary(self, monkeypatch, method):
@@ -339,7 +337,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("change, error", [
         ({"plan": "[0, 0, 0.5]"}, PlanError),  # ratio on the unprunable output
-        ({"reg_max_iters": 10}, BudgetExceededError),
+        ({"reg_max_iters": 10}, ConfigError),
     ])
     def test_rejected_before_any_seed_pretrains(self, monkeypatch, change, error):
         def no_pretrain(*args):
