@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,16 +54,7 @@ def checkpoint_bytes(net: Network) -> bytes:
     header = {
         "input_shape": list(net.input_shape),
         "classes": net.classes,
-        "layers": [
-            {
-                "kind": s.kind,
-                "units": s.units,
-                "kernel": list(s.kernel) if s.kernel else None,
-                "activation": s.activation,
-                "prunable": s.prunable,
-            }
-            for s in net.layers
-        ],
+        "layers": [asdict(s) for s in net.layers],
         "blobs": [
             {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
             for name, arr in blobs
@@ -110,7 +102,7 @@ def _parse_header(text, path):
     """Decode and type-check the JSON header; returns the checked document."""
     try:
         header = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, an int past Python's digit limit
         raise ConfigError(f"{path}: unreadable checkpoint header ({exc})") from exc
     where = f"{path}: checkpoint header"
     _ints(header, "input_shape", where)

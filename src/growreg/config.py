@@ -216,4 +216,6 @@ def load_config(path, preset=None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes not UTF-8, an int past Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(doc, preset)

@@ -2,10 +2,12 @@
 
 A weight group is the unit of pruning: one filter (conv) or one output
 unit's incoming column (dense) at ``filter`` granularity, or a single
-weight at ``weight`` granularity. Selection zeroes the mask entries of the
-lowest-L1 groups per layer; hard pruning either pins those weights at zero
-(unstructured) or slices the tensors, including the consumer layer's
-matching input slice (structured).
+weight at ``weight`` granularity. :func:`group_view` is the one layout
+rule: it shows a layer's weights as a ``(groups, members)`` array, and
+counting, scoring and expanding per-group values all read that view.
+Selection zeroes the mask entries of the lowest-L1 groups per layer; hard
+pruning either pins those weights at zero (unstructured) or slices the
+tensors, including the consumer layer's matching input slice (structured).
 
 All transformations return new objects; nothing here mutates a network.
 """
@@ -33,29 +35,20 @@ def _check_granularity(granularity):
 class PruningPlan:
     """Per-layer target ratios plus grouping granularity.
 
-    Layers in ``never_prune`` must carry ratio 0; by default layer 0 is
-    protected, dropped automatically when the plan explicitly assigns it a
-    nonzero ratio.
+    ``never_prune`` is derived: layer 0 is protected when its ratio is 0,
+    and no layer is when the plan gives layer 0 a nonzero ratio.
     """
 
     ratios: tuple
     granularity: str = "filter"
-    never_prune: frozenset = None
+    never_prune: frozenset = field(init=False)
 
     def __post_init__(self):
         _check_granularity(self.granularity)
         ratios = tuple(float(r) for r in self.ratios)
         if any(not 0.0 <= r <= 1.0 for r in ratios):
             raise PlanError(f"ratios must lie in [0, 1], got {ratios}")
-        if self.never_prune is None:
-            protected = frozenset({0}) if ratios and ratios[0] == 0.0 else frozenset()
-        else:
-            protected = frozenset(int(l) for l in self.never_prune)
-        for l in protected:
-            if l < 0 or l >= len(ratios):
-                raise PlanError(f"never_prune index {l} out of range")
-            if ratios[l] != 0.0:
-                raise PlanError(f"layer {l} is protected but has ratio {ratios[l]}")
+        protected = frozenset({0}) if ratios and ratios[0] == 0.0 else frozenset()
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "never_prune", protected)
 
@@ -131,11 +124,25 @@ def format_pruning_plan(plan: PruningPlan) -> str:
 # -- grouping and scoring ----------------------------------------------------
 
 
+def group_view(spec, w, granularity):
+    """``w`` as a 2-D ``(groups, members)`` array, one row per weight group.
+
+    A row is one weight at ``weight`` granularity; at ``filter`` it is a
+    dense unit's incoming column (``w.T``) or a conv filter. The view
+    shares memory with a C-contiguous ``w``, so writes through it land in
+    ``w``.
+    """
+    if granularity == "weight":
+        return w.reshape(-1, 1)
+    if spec.kind == "dense":
+        return w.T
+    return w.reshape(len(w), -1)
+
+
 def group_counts(net: Network, granularity: str):
     _check_granularity(granularity)
-    if granularity == "filter":
-        return [spec.units for spec in net.layers]
-    return [w.size for w in net.weights]
+    return [len(group_view(spec, w, granularity))
+            for spec, w in zip(net.layers, net.weights)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +155,8 @@ class GroupNorms:
 
 def group_l1_norms(net: Network, granularity: str) -> GroupNorms:
     _check_granularity(granularity)
-    norms = []
-    for spec, w in zip(net.layers, net.weights):
-        if granularity == "weight":
-            norms.append(np.abs(w).ravel())
-        elif spec.kind == "dense":
-            norms.append(np.abs(w).sum(axis=0))
-        else:
-            norms.append(np.abs(w).sum(axis=(1, 2, 3)))
+    norms = [np.abs(group_view(spec, w, granularity)).sum(axis=1)
+             for spec, w in zip(net.layers, net.weights)]
     return GroupNorms(per_layer=norms, granularity=granularity)
 
 
@@ -244,7 +245,7 @@ def random_prune_set(net: Network, plan: PruningPlan, seed: int) -> Mask:
 
 
 def validate_plan_against(layers, plan: PruningPlan):
-    """Reject plans that target non-prunable layers or mismatch the layer specs."""
+    """Reject plans that mismatch the layers, target unprunable ones or empty one."""
     if plan.num_layers != len(layers):
         raise PlanError(
             f"plan covers {plan.num_layers} layers, network has {len(layers)}"
@@ -252,6 +253,8 @@ def validate_plan_against(layers, plan: PruningPlan):
     for l, (spec, r) in enumerate(zip(layers, plan.ratios)):
         if r > 0 and not spec.prunable:
             raise PlanError(f"layer {l} is not prunable but has ratio {r}")
+        if r == 1.0:  # floor(1 * n) = n groups, which selection_counts refuses
+            raise PlanError(f"layer {l}: ratio 1.0 would remove every group")
     if plan.ratios and plan.ratios[-1] > 0:
         raise PlanError("final classifier layer cannot be pruned")
 
@@ -260,7 +263,7 @@ def validate_plan_against(layers, plan: PruningPlan):
 
 
 def expand_group_values(net: Network, granularity: str, layer_values):
-    """Broadcast per-group scalars to weight-shaped arrays, layer by layer.
+    """Per-group scalars written into new weight-shaped arrays, layer by layer.
 
     Used to turn a per-group penalty map into the per-weight factors the
     optimizer consumes.
@@ -271,13 +274,9 @@ def expand_group_values(net: Network, granularity: str, layer_values):
         raise DimensionError("group values do not cover the network's groups")
     out = []
     for spec, w, vals in zip(net.layers, net.weights, layer_values):
-        vals = np.asarray(vals, dtype=float)
-        if granularity == "weight":
-            out.append(vals.reshape(w.shape))
-        elif spec.kind == "dense":
-            out.append(np.broadcast_to(vals[None, :], w.shape))
-        else:
-            out.append(np.broadcast_to(vals[:, None, None, None], w.shape))
+        e = np.empty(w.shape)  # C order, so the view writes into it
+        group_view(spec, e, granularity)[:] = np.asarray(vals, dtype=float)[:, None]
+        out.append(e)
     return out
 
 
@@ -310,6 +309,12 @@ def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Netwo
             out.layers, out.input_shape, out.classes, out.weights, out.biases, out.frozen
         )
 
+    def cut(l, idx, axis):
+        """Delete ``idx`` along ``axis`` from layer ``l``'s weights and frozen mask."""
+        out.weights[l] = np.delete(out.weights[l], idx, axis=axis)
+        if out.frozen[l] is not None:
+            out.frozen[l] = np.delete(out.frozen[l], idx, axis=axis)
+
     specs = list(out.layers)
     shapes = net._layer_input_shapes
     for l, flags in enumerate(mask.flags):
@@ -321,29 +326,22 @@ def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Netwo
             raise StructureError("cannot remove output units of the final layer")
         if flags.sum() == 0:
             raise StructureError(f"layer {l}: mask removes every group")
-        axis = 1 if spec.kind == "dense" else 0
-        out.weights[l] = np.delete(out.weights[l], removed, axis=axis)
+        cut(l, removed, 1 if spec.kind == "dense" else 0)
         out.biases[l] = np.delete(out.biases[l], removed)
-        if out.frozen[l] is not None:
-            out.frozen[l] = np.delete(out.frozen[l], removed, axis=axis)
         specs[l] = replace(spec, units=spec.units - removed.size)
 
         nxt = specs[l + 1]
         if nxt.kind == "conv2d":
             if spec.kind != "conv2d":
                 raise StructureError("dense output feeding conv2d is unsupported")
-            out.weights[l + 1] = np.delete(out.weights[l + 1], removed, axis=1)
-            if out.frozen[l + 1] is not None:
-                out.frozen[l + 1] = np.delete(out.frozen[l + 1], removed, axis=1)
+            cut(l + 1, removed, 1)
         else:
             if spec.kind == "dense":
                 rows = removed
             else:
                 block = int(np.prod(shapes[l + 1][1:]))
                 rows = (removed[:, None] * block + np.arange(block)[None, :]).ravel()
-            out.weights[l + 1] = np.delete(out.weights[l + 1], rows, axis=0)
-            if out.frozen[l + 1] is not None:
-                out.frozen[l + 1] = np.delete(out.frozen[l + 1], rows, axis=0)
+            cut(l + 1, rows, 0)
     try:
         return Network(specs, out.input_shape, out.classes, out.weights, out.biases, out.frozen)
     except (DimensionError, DomainError) as exc:

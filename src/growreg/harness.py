@@ -30,6 +30,7 @@ from .groups import (
     PruningPlan,
     apply_hard_prune,
     group_l1_norms,
+    group_view,
     norm_dispersion,
     parse_pruning_plan,
     random_prune_set,
@@ -370,24 +371,12 @@ def suppression_stats(net: Network, state: RegState) -> dict:
     pruned_max = 0.0
     kept_means = []
     for l in state.eligible_layers:
-        spec, w = net.layers[l], net.weights[l]
+        a = np.abs(group_view(net.layers[l], net.weights[l], state.granularity))
         pruned = np.asarray(state.prune_sets[l], dtype=int)
-        kept = np.setdiff1d(np.arange(state._counts[l]), pruned)
-        if state.granularity == "weight":
-            flat = np.abs(w.ravel())
-            if pruned.size:
-                pruned_max = max(pruned_max, float(flat[pruned].max()))
-            kept_means.extend(flat[kept].tolist())
-        elif spec.kind == "dense":
-            a = np.abs(w)
-            if pruned.size:
-                pruned_max = max(pruned_max, float(a[:, pruned].max()))
-            kept_means.extend(a[:, kept].mean(axis=0).tolist())
-        else:
-            a = np.abs(w)
-            if pruned.size:
-                pruned_max = max(pruned_max, float(a[pruned].max()))
-            kept_means.extend(a[kept].mean(axis=(1, 2, 3)).tolist())
+        kept = np.setdiff1d(np.arange(len(a)), pruned)
+        if pruned.size:
+            pruned_max = max(pruned_max, float(a[pruned].max()))
+        kept_means.extend(a[kept].mean(axis=1).tolist())
     if not kept_means:
         return {}
     mean_kept = float(np.mean(kept_means))

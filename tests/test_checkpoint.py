@@ -1,5 +1,6 @@
 """Binary container round trips and byte-level stability."""
 
+import hashlib
 import json
 import struct
 
@@ -59,6 +60,7 @@ def test_same_seed_same_bytes():
     a = checkpoint_bytes(small_conv_net(seed=12))
     b = checkpoint_bytes(small_conv_net(seed=12))
     assert a == b
+    assert hashlib.sha256(a).hexdigest()[:16] == "5fc19033ea3ca35e"
     c = checkpoint_bytes(small_conv_net(seed=13))
     assert a != c
 
@@ -106,6 +108,17 @@ def test_velocity_of_other_shape_rejected(tmp_path):
     path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + hlen :]
                      + np.zeros(6).tobytes())
     with pytest.raises(ConfigError, match="vel.ckpt: checkpoint header: blobs .*'vw0'"):
+        load_checkpoint(path)
+
+
+def test_integer_past_the_digit_limit_rejected(tmp_path):
+    # json.loads raises a plain ValueError past 4,300 digits
+    raw = checkpoint_bytes(Network.initialize(mlp_specs([3]), (2,), 2, seed=20))
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    head = raw[20 : 20 + hlen].replace(b'"classes":2', b'"classes":2' + b"0" * 4999)
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + hlen :])
+    with pytest.raises(ConfigError, match="big.ckpt: unreadable checkpoint header"):
         load_checkpoint(path)
 
 

@@ -376,25 +376,44 @@ class TestValidationExitCodes:
         assert "finite" in result.output
         assert all(part in result.output for part in parents if not part.isdigit())
 
-    @pytest.mark.parametrize("command, method, layer", [
-        ("run", "oneshot_l1", 1),
-        ("run", "random_subset", 1),
-        ("run", "oneshot_l1", 2),  # the output layer
-        ("pretrain", "greg1", 2),
-    ])
+    @pytest.mark.parametrize("command, method, unprunable, plan, message", [
+        ("run", "oneshot_l1", 1, "[0, 0.5, 0]", "layer 1 is not prunable"),
+        ("run", "random_subset", 1, "[0, 0.5, 0]", "layer 1 is not prunable"),
+        # the output layer
+        ("run", "oneshot_l1", 2, "[0, 0, 0.5]", "layer 2 is not prunable"),
+        ("pretrain", "greg1", 2, "[0, 0, 0.5]", "layer 2 is not prunable"),
+        ("run", "greg1", None, "[0, 1, 0]", "layer 1: ratio 1.0 would remove every"),
+    ], ids=["run-oneshot_l1-1", "run-random_subset-1", "run-oneshot_l1-2",
+            "pretrain-greg1-2", "run-greg1-ratio1"])
     def test_plan_error_exits_2_before_any_work(self, runner, tmp_path, command,
-                                                method, layer):
+                                                method, unprunable, plan, message):
         cfg = tiny_config(tmp_path, method=method)
         doc = json.loads(cfg.read_text())
-        doc["experiment"]["net"]["layers"][layer]["prunable"] = False
-        doc["experiment"]["plan"] = "[0, 0.5, 0]" if layer == 1 else "[0, 0, 0.5]"
+        if unprunable is not None:
+            doc["experiment"]["net"]["layers"][unprunable]["prunable"] = False
+        doc["experiment"]["plan"] = plan
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "x"
         result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert len(result.output.strip().splitlines()) == 1
-        assert f"layer {layer} is not prunable" in result.output
+        assert message in result.output
         assert not out.exists()  # the output directory follows the load
+
+    @pytest.mark.parametrize("literal", [b"1" + b"0" * 4999, b'"\xff"'],
+                             ids=["5000-digit-integer", "non-utf8-string"])
+    def test_unreadable_json_value_exits_2(self, runner, tmp_path, literal):
+        # json.load raises a plain ValueError here, not a JSONDecodeError
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["seed"] = "VALUE"
+        cfg.write_bytes(json.dumps(doc).encode().replace(b'"VALUE"', literal))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert str(cfg) in result.output
+        assert not out.exists()
 
     def test_budget_exhaustion_is_input_error(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -81,7 +81,7 @@ class TestSelection:
         return GroupNorms(per_layer=[np.asarray(values, dtype=float)], granularity="filter")
 
     def test_two_smallest_masked(self):
-        plan = PruningPlan(ratios=(0.5,), never_prune=frozenset())
+        plan = PruningPlan(ratios=(0.5,))
         mask = select_prune_set(self._norms([0.5, 0.1, 0.3, 0.9]), plan)
         assert np.flatnonzero(mask.flags[0] == 0).tolist() == [1, 2]
 
@@ -91,25 +91,25 @@ class TestSelection:
         assert np.all(mask.flags[0] == 1)
 
     def test_ties_break_toward_lower_index(self):
-        plan = PruningPlan(ratios=(0.5,), never_prune=frozenset())
+        plan = PruningPlan(ratios=(0.5,))
         mask = select_prune_set(self._norms([1.0, 1.0, 1.0, 1.0]), plan)
         assert np.flatnonzero(mask.flags[0] == 0).tolist() == [0, 1]
 
     def test_exact_floor_count(self, rng):
         for n, r in [(10, 0.33), (7, 0.9), (24, 0.7), (5, 0.19)]:
-            plan = PruningPlan(ratios=(r,), never_prune=frozenset())
+            plan = PruningPlan(ratios=(r,))
             norms = GroupNorms(per_layer=[rng.uniform(0, 1, n)], granularity="filter")
             mask = select_prune_set(norms, plan)
             assert int((mask.flags[0] == 0).sum()) == int(np.floor(r * n))
 
     def test_removing_all_groups_refused(self):
-        plan = PruningPlan(ratios=(1.0,), never_prune=frozenset())
+        plan = PruningPlan(ratios=(1.0,))
         with pytest.raises(PlanError):
             select_prune_set(self._norms([1.0, 2.0]), plan)
 
     def test_permutation_consistency(self, rng):
         vals = rng.uniform(0, 1, 12)
-        plan = PruningPlan(ratios=(0.5,), never_prune=frozenset())
+        plan = PruningPlan(ratios=(0.5,))
         base = np.flatnonzero(select_prune_set(self._norms(vals), plan).flags[0] == 0)
         perm = rng.permutation(12)
         permuted = select_prune_set(self._norms(vals[perm]), plan)
@@ -120,7 +120,7 @@ class TestSelection:
 class TestRandomSelection:
     def test_full_ratio_forbidden(self):
         net = Network.initialize(mlp_specs([4]), (3,), 2, seed=0)
-        plan = PruningPlan(ratios=(1.0, 0.0), never_prune=frozenset())
+        plan = PruningPlan(ratios=(1.0, 0.0))
         with pytest.raises(PlanError):
             random_prune_set(net, plan, seed=0)
 
@@ -134,7 +134,7 @@ class TestRandomSelection:
 
     def test_uniform_inclusion_frequency(self):
         net = Network.initialize(mlp_specs([100]), (3,), 2, seed=0)
-        plan = PruningPlan(ratios=(0.5, 0.0), never_prune=frozenset())
+        plan = PruningPlan(ratios=(0.5, 0.0))
         hits = np.zeros(100)
         n_seeds = 10_000
         for seed in range(n_seeds):
@@ -266,8 +266,6 @@ class TestPlanParsing:
     def test_layer_zero_protection_overridable(self):
         plan = parse_pruning_plan("[0.4, 0.4]", 2)
         assert plan.never_prune == frozenset()
-        with pytest.raises(PlanError):
-            PruningPlan(ratios=(0.4, 0.0), never_prune=frozenset({0}))
 
     @settings(max_examples=300, deadline=None)
     @given(ratios=st.lists(st.floats(0, 1) | st.sampled_from([0.0, 0.5, 1.0]),
@@ -328,10 +326,10 @@ class TestExpandGroupValues:
         expanded = expand_group_values(net, "filter", vals)
         for spec, w, e, v in zip(net.layers, net.weights, expanded, vals):
             assert e.shape == w.shape
-            if spec.kind == "dense":
-                assert np.all(e[0] == v)
-            else:
-                assert np.all(e[:, 0, 0, 0] == v)
+            # a dense group is the column of its unit, a conv group its filter
+            axis = 1 if spec.kind == "dense" else 0
+            for idx in np.ndindex(w.shape):
+                assert e[idx] == v[idx[axis]]
 
     def test_weight_expansion_is_reshape(self):
         net = Network.initialize(mlp_specs([3]), (2,), 2, seed=0)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mlp_specs
+from conftest import mlp_specs, small_conv_net
 from growreg import harness, scheduler
 from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
@@ -16,7 +16,7 @@ from growreg.errors import (
     NumericError,
     PlanError,
 )
-from growreg.groups import Mask, apply_hard_prune, group_counts
+from growreg.groups import Mask, PruningPlan, apply_hard_prune, group_counts
 from growreg.harness import (
     ExperimentConfig,
     PhaseSchedule,
@@ -299,6 +299,38 @@ class TestRunMethod:
         rec = run_method(exp)
         assert rec.summary["sparsity"] > 0.3
         assert rec.summary["post_finetune_acc"] > 0.6
+
+
+class TestSuppressionStats:
+    @pytest.mark.parametrize("granularity", ["filter", "weight"])
+    def test_matches_bruteforce_on_conv_net(self, granularity):
+        net = small_conv_net(seed=5)
+        plan = PruningPlan(ratios=(0.5, 0.4, 0.5, 0.0), granularity=granularity)
+        state = scheduler.greg1_init(net, plan, QUICK_REG)
+        pruned_abs, kept_means = [], []
+        for l in state.eligible_layers:
+            spec, w = net.layers[l], net.weights[l]
+            prune_set = set(state.prune_sets[l].tolist())
+            for g in range(w.size if granularity == "weight" else spec.units):
+                if granularity == "weight":
+                    members = [w.flat[g]]
+                elif spec.kind == "dense":
+                    members = list(w[:, g])
+                else:
+                    members = list(w[g].ravel())
+                vals = [abs(float(v)) for v in members]
+                if g in prune_set:
+                    pruned_abs.extend(vals)
+                else:
+                    kept_means.append(sum(vals) / len(vals))
+        s = harness.suppression_stats(net, state)
+        mean_kept = sum(kept_means) / len(kept_means)
+        assert s["pruned_max_abs"] == max(pruned_abs)
+        assert s["kept_group_mean_abs"] == pytest.approx(mean_kept, rel=1e-12)
+        assert s["suppression_ratio"] == pytest.approx(max(pruned_abs) / mean_kept,
+                                                       rel=1e-12)
+        assert s["suppression_ratio_strict"] == pytest.approx(
+            max(pruned_abs) / min(kept_means), rel=1e-12)
 
 
 class TestCompare:
