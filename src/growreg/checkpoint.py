@@ -177,7 +177,7 @@ def load_checkpoint(path):
         arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
         if dt.kind == "f" and not np.all(np.isfinite(arr)):
             raise ConfigError(f"{path}: blob {blob['name']} holds non-finite values")
-        arrays[blob["name"]] = arr.reshape(blob["shape"]).copy()
+        arrays[blob["name"]] = arr.reshape(blob["shape"])
         offset += nbytes
     if offset != len(raw):
         raise ConfigError(f"{path}: trailing bytes after declared blobs")

@@ -305,9 +305,7 @@ def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Netwo
             out.weights[l][dead] = 0.0
             prev = out.frozen[l]
             out.frozen[l] = dead if prev is None else (prev | dead)
-        return Network(
-            out.layers, out.input_shape, out.classes, out.weights, out.biases, out.frozen
-        )
+        return out
 
     def cut(l, idx, axis):
         """Delete ``idx`` along ``axis`` from layer ``l``'s weights and frozen mask."""

@@ -7,6 +7,18 @@ applied as gradient augmentation inside :func:`sgd_step` (coupled decay),
 never inside :func:`loss_and_grads`, so per-group factors are honored and
 the reported loss is the task loss alone. Biases are never penalized.
 
+Each network keeps its parameters in two flat float64 buffers, ``flat_w``
+and ``flat_b``; ``weights[l]`` and ``biases[l]`` are views into them.
+Gradients, velocities and penalty factors use the same layout, so
+:func:`sgd_step` updates the whole network in a few whole-buffer calls.
+A layer's view keeps the stride order of the array the network was built
+from (numpy's ``order="K"``): a filter cut made by ``np.delete`` along a
+dense layer's axis 1 stays F-ordered, and the GEMMs that read it round as
+they did before the network was rebuilt. Finiteness is one sum per flat
+buffer; only a sum that is not finite (a NaN or inf entry, or finite
+entries that overflow) starts a layer-by-layer search, which names the
+layer or raises nothing.
+
 Everything is float64 numpy. Training runs in one Python thread, though
 numpy's BLAS may add threads of its own; forward passes on a network
 nobody is mutating are safe to run from anywhere.
@@ -49,12 +61,77 @@ class LayerSpec:
         object.__setattr__(self, "kernel", tuple(self.kernel) if self.kernel else None)
 
 
+class _Layout:
+    """Where each of a list of arrays sits in one flat float64 buffer.
+
+    A slot keeps the stride order that ``order="K"`` gives the array it was
+    laid out from, so its view walks memory in that array's order.
+    """
+
+    def __init__(self, arrays):
+        self.slots = []
+        offset = 0
+        for a in arrays:
+            strides = np.empty_like(a, dtype=float, order="K").strides
+            self.slots.append((a.shape, offset * 8, strides))
+            offset += a.size
+        self.size = offset
+
+    def views(self, flat):
+        return [np.ndarray(shape, float, buffer=flat, offset=off, strides=strides)
+                for shape, off, strides in self.slots]
+
+    def allocate(self, alloc=np.zeros):
+        """A new flat buffer and its views."""
+        flat = alloc(self.size)
+        return flat, self.views(flat)
+
+    def copy(self, arrays):
+        """A new flat buffer holding copies of ``arrays``, and its views."""
+        flat, views = self.allocate(np.empty)
+        for view, a in zip(views, arrays):
+            view[...] = a
+        return flat, views
+
+
+def _first_non_finite(flat_w, flat_b, layer_views):
+    """Index of the first layer holding a NaN or an inf, or None.
+
+    One sum per flat buffer; ``layer_views`` (pairs of per-layer arrays)
+    are searched only when the total is not finite. A finite total proves
+    every entry finite. Finite entries can also overflow the total; the
+    search then finds nothing, so they never raise, though numpy may warn
+    of the overflow outside an ``np.errstate`` that silences it.
+    """
+    if np.isfinite(flat_w.sum() + flat_b.sum()):
+        return None
+    for l, (w, b) in enumerate(layer_views):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            return l
+    return None
+
+
 @dataclass
 class GradBuffer:
-    """Task-loss gradients mirroring the network's parameter shapes."""
+    """Task-loss gradients in the network's layout: ``weights[l]`` and
+    ``biases[l]`` are views into ``flat_w`` and ``flat_b``."""
 
+    flat_w: np.ndarray
+    flat_b: np.ndarray
     weights: list
     biases: list
+
+    @classmethod
+    def for_network(cls, net):
+        """Zero gradients in ``net``'s layout."""
+        flat_w, weights = net._w_layout.allocate()
+        flat_b, biases = net._b_layout.allocate()
+        return cls(flat_w, flat_b, weights, biases)
+
+    def check_finite(self):
+        pairs = zip(self.weights, self.biases)
+        if _first_non_finite(self.flat_w, self.flat_b, pairs) is not None:
+            raise NumericError("non-finite gradient values")
 
 
 class Network:
@@ -62,8 +139,11 @@ class Network:
 
     ``weights[l]`` is ``(fan_in, units)`` for dense layers and
     ``(filters, in_channels, kh, kw)`` for conv layers; ``biases[l]`` is
-    ``(units,)``. ``frozen[l]`` is an optional boolean mask of weights
-    pinned at exactly zero (set by unstructured hard pruning).
+    ``(units,)``. They are views into ``flat_w`` and ``flat_b``, filled
+    with copies of the arrays given, each in its stride order; write
+    through them, never rebind them. ``frozen[l]`` is an optional boolean
+    mask of weights pinned at exactly zero (set by unstructured hard
+    pruning).
     """
 
     def __init__(self, layers, input_shape, classes, weights, biases, frozen=None):
@@ -74,6 +154,12 @@ class Network:
         self.biases = list(biases)
         self.frozen = list(frozen) if frozen is not None else [None] * len(self.layers)
         self._validate()
+        self._w_layout = _Layout(self.weights)
+        self._b_layout = _Layout(self.biases)
+        self.flat_w, self.weights = self._w_layout.copy(self.weights)
+        self.flat_b, self.biases = self._b_layout.copy(self.biases)
+        if not np.isfinite(self.flat_w).all():
+            raise NumericError("non-finite weight values")
 
     # -- construction ----------------------------------------------------
 
@@ -123,24 +209,23 @@ class Network:
             raise DimensionError(
                 f"final layer has {last.units} units for {self.classes} classes"
             )
-        if not all(np.all(np.isfinite(w)) for w in self.weights):
-            raise NumericError("non-finite weight values")
         self._layer_input_shapes = shapes
 
     # -- conveniences ------------------------------------------------------
 
     def clone(self):
+        """An independent copy whose layers are all C-ordered."""
         return Network(
             self.layers,
             self.input_shape,
             self.classes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            [np.ascontiguousarray(w) for w in self.weights],
+            self.biases,
             [m.copy() if m is not None else None for m in self.frozen],
         )
 
     def num_weights(self):
-        return int(sum(w.size for w in self.weights))
+        return int(self.flat_w.size)
 
     def __len__(self):
         return len(self.layers)
@@ -187,7 +272,10 @@ def forward(net: Network, batch_inputs):
     """Run the network; returns (logits, cache) with cache feeding backward.
 
     Accepts inputs either in native shape ``(batch, *input_shape)`` or
-    flattened ``(batch, prod(input_shape))``.
+    flattened ``(batch, prod(input_shape))``. ``cache[l]`` is the pair
+    ``(inputs, z)``: the 2-d matrix layer ``l`` multiplied by its weights
+    (the flattened input of a dense layer, the im2col patches of a conv
+    layer) and its pre-activation output.
     """
     x = np.asarray(batch_inputs, dtype=float)
     native = (len(x.shape) - 1 == len(net.input_shape)) and (
@@ -201,18 +289,17 @@ def forward(net: Network, batch_inputs):
         x = x.reshape(x.shape[0], *net.input_shape)
     cache = []
     for spec, w, b in zip(net.layers, net.weights, net.biases):
-        entry = {"x": x}
         if spec.kind == "dense":
-            x2 = x.reshape(x.shape[0], -1)
-            entry["x2"] = x2
-            z = x2 @ w + b
+            if x.ndim != 2:
+                x = x.reshape(x.shape[0], -1)
+            inputs = x
+            z = x @ w
+            z += b
         else:
-            z, cols = _conv_forward(x, w)
+            z, inputs = _conv_forward(x, w)
             z = z + b[None, :, None, None]
-            entry["cols"] = cols
-        entry["z"] = z
+        cache.append((inputs, z))
         x = np.maximum(z, 0.0) if spec.activation == "relu" else z
-        cache.append(entry)
     return x, cache
 
 
@@ -251,28 +338,32 @@ def loss_and_grads(net: Network, batch, labels):
     gradient is col2im: the upstream gradient times the kernel matrix gives
     one column of input-patch gradients per output position, and each of
     the ``kh * kw`` kernel offsets is scatter-added into the input map.
+    The gradients are written into a fresh :class:`GradBuffer` in the
+    network's layout.
     """
     logits, cache = forward(net, batch)
     loss, dout = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericError(f"loss is not finite ({loss})")
-    d_w = [None] * len(net.layers)
-    d_b = [None] * len(net.layers)
+    grads = GradBuffer.for_network(net)
     for l in range(len(net.layers) - 1, -1, -1):
-        spec, w, entry = net.layers[l], net.weights[l], cache[l]
-        dz = dout * (entry["z"] > 0) if spec.activation == "relu" else dout
+        spec, w = net.layers[l], net.weights[l]
+        inputs, z = cache[l]
+        if spec.kind == "conv2d":  # a dense consumer passes back flat rows
+            dout = dout.reshape(z.shape)
+        dz = dout * (z > 0) if spec.activation == "relu" else dout
         if spec.kind == "dense":
-            d_w[l] = entry["x2"].T @ dz
-            d_b[l] = dz.sum(axis=0)
+            np.matmul(inputs.T, dz, out=grads.weights[l])
+            dz.sum(axis=0, out=grads.biases[l])
             if l > 0:
-                dout = (dz @ w.T).reshape(entry["x"].shape)
+                dout = dz @ w.T
         else:
             b, f, oh, ow = dz.shape
             dz_mat = dz.transpose(0, 2, 3, 1).reshape(b * oh * ow, f)
-            d_w[l] = (dz_mat.T @ entry["cols"]).reshape(w.shape)
-            d_b[l] = dz.sum(axis=(0, 2, 3))
+            grads.weights[l][...] = (dz_mat.T @ inputs).reshape(w.shape)
+            dz.sum(axis=(0, 2, 3), out=grads.biases[l])
             if l > 0:
-                _, c, h, wd = entry["x"].shape
+                c, h, wd = net._layer_input_shapes[l]
                 kh, kw = spec.kernel
                 # channels-last so each offset adds contiguous channel rows
                 w_mat = w.transpose(0, 2, 3, 1).reshape(f, -1)
@@ -282,10 +373,7 @@ def loss_and_grads(net: Network, batch, labels):
                     for j in range(kw):
                         dx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
                 dout = dx.transpose(0, 3, 1, 2)
-    grads = GradBuffer(weights=d_w, biases=d_b)
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient values")
+    grads.check_finite()
     return loss, grads
 
 
@@ -294,13 +382,21 @@ def loss_and_grads(net: Network, batch, labels):
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state; one velocity buffer per parameter tensor."""
+    """SGD-with-momentum state in the network's layout.
+
+    Velocities are two flat buffers; ``vel_w[l]`` is a view into the
+    weights' one. ``lam_w[l]`` is a view into the penalty buffer that
+    :func:`sgd_step` fills with a step's per-weight factors.
+    """
 
     learning_rate: float
     momentum: float = 0.9
     base_decay: float = 5e-4
-    vel_w: list = field(default_factory=list)
-    vel_b: list = field(default_factory=list)
+    flat_vel_w: np.ndarray = field(default=None, init=False)
+    flat_vel_b: np.ndarray = field(default=None, init=False)
+    flat_lam: np.ndarray = field(default=None, init=False)
+    vel_w: list = field(default=None, init=False)
+    lam_w: list = field(default=None, init=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -311,8 +407,9 @@ class OptimState:
     @classmethod
     def for_network(cls, net: Network, learning_rate, momentum=0.9, base_decay=5e-4):
         state = cls(learning_rate, momentum, base_decay)
-        state.vel_w = [np.zeros_like(w) for w in net.weights]
-        state.vel_b = [np.zeros_like(b) for b in net.biases]
+        state.flat_vel_w, state.vel_w = net._w_layout.allocate()
+        state.flat_vel_b = np.zeros(net.flat_b.size)
+        state.flat_lam, state.lam_w = net._w_layout.allocate(np.empty)
         return state
 
 
@@ -322,31 +419,37 @@ def sgd_step(net: Network, grads: GradBuffer, opt: OptimState, lambdas=None):
     ``lambdas`` maps layer index to either a scalar or a weight-shaped
     array of penalty factors; layers not present fall back to the
     optimizer's base decay, and negative factors (which grow weights) are
-    allowed. Frozen weights and their velocities are pinned back to zero
-    after the update. Mutates ``net`` and ``opt`` and returns ``net``.
+    allowed. Every shape is checked before anything changes. Frozen
+    weights and their velocities are pinned back to zero after the
+    update. ``grads`` and ``opt`` must be laid out for ``net`` (made from
+    it by :func:`loss_and_grads`, :meth:`GradBuffer.for_network` and
+    :meth:`OptimState.for_network`), since the update pairs flat buffers
+    entry by entry. Mutates ``net`` and ``opt`` and returns ``net``.
     """
-    lambdas = lambdas or {}
-    for l in range(len(net.layers)):
-        w = net.weights[l]
-        lam = np.asarray(lambdas.get(l, opt.base_decay), dtype=float)
-        if lam.shape not in ((), w.shape):
-            raise DimensionError(
-                f"layer {l}: penalty factors shape {lam.shape} does not cover "
-                f"weights {w.shape}"
-            )
-        g_eff = grads.weights[l] + lam * w
-        v = opt.vel_w[l]
-        v *= opt.momentum
-        v += g_eff
-        w -= opt.learning_rate * v
-        vb = opt.vel_b[l]
-        vb *= opt.momentum
-        vb += grads.biases[l]
-        net.biases[l] -= opt.learning_rate * vb
-        mask = net.frozen[l]
+    lam = opt.base_decay
+    if lambdas:
+        factors = [lambdas.get(l, opt.base_decay) for l in range(len(net.layers))]
+        for l, (f, w) in enumerate(zip(factors, net.weights)):
+            if np.shape(f) not in ((), w.shape):
+                raise DimensionError(
+                    f"layer {l}: penalty factors shape {np.shape(f)} does not cover "
+                    f"weights {w.shape}"
+                )
+        for view, f in zip(opt.lam_w, factors):
+            view[...] = f
+        lam = opt.flat_lam
+    v, vb = opt.flat_vel_w, opt.flat_vel_b
+    v *= opt.momentum
+    v += grads.flat_w + lam * net.flat_w
+    net.flat_w -= opt.learning_rate * v
+    vb *= opt.momentum
+    vb += grads.flat_b
+    net.flat_b -= opt.learning_rate * vb
+    for w, vl, mask in zip(net.weights, opt.vel_w, net.frozen):
         if mask is not None:
             w[mask] = 0.0
-            v[mask] = 0.0
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(net.biases[l]))):
-            raise NumericError(f"layer {l}: non-finite parameters after update")
+            vl[mask] = 0.0
+    bad = _first_non_finite(net.flat_w, net.flat_b, zip(net.weights, net.biases))
+    if bad is not None:
+        raise NumericError(f"layer {bad}: non-finite parameters after update")
     return net

@@ -6,6 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import mlp_specs, small_conv_net
 from growreg.errors import DimensionError, DomainError, NumericError
+from growreg.groups import Mask, apply_hard_prune, group_counts
 from growreg.netcore import (
     GradBuffer,
     LayerSpec,
@@ -42,20 +43,26 @@ def finite_diff_worst_rel(net, x, y, grads, rng, samples=20, eps=1e-5):
 def reference_grads(net, x, y):
     """Backward written independently of netcore's im2col: weight gradients
     by einsum over sliding windows, conv input gradients as the full
-    correlation of the zero-padded upstream gradient with flipped kernels."""
+    correlation of the zero-padded upstream gradient with flipped kernels.
+    Each layer's input is rebuilt from the batch and the cached
+    pre-activations, not read from the cache."""
     logits, cache = forward(net, x)
     _, dout = softmax_cross_entropy(logits, y)
+    zs = [z for _, z in cache]
+    inputs = [x.reshape(len(x), *net.input_shape)]
+    for spec, z in zip(net.layers, zs):
+        inputs.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
     d_w, d_b = [None] * len(net.layers), [None] * len(net.layers)
     for l in reversed(range(len(net.layers))):
-        spec, w, entry = net.layers[l], net.weights[l], cache[l]
-        dz = dout * (entry["z"] > 0) if spec.activation == "relu" else dout
+        spec, w, z, inp = net.layers[l], net.weights[l], zs[l], inputs[l]
+        dz = dout * (z > 0) if spec.activation == "relu" else dout
         if spec.kind == "dense":
-            d_w[l] = entry["x2"].T @ dz
+            d_w[l] = inp.reshape(len(inp), -1).T @ dz
             d_b[l] = dz.sum(axis=0)
-            dout = (dz @ w.T).reshape(entry["x"].shape)
+            dout = (dz @ w.T).reshape(inp.shape)
             continue
         kh, kw = spec.kernel
-        win = sliding_window_view(entry["x"], (kh, kw), axis=(2, 3))
+        win = sliding_window_view(inp, (kh, kw), axis=(2, 3))
         d_w[l] = np.einsum("bfij,bcijkl->fckl", dz, win)
         d_b[l] = dz.sum(axis=(0, 2, 3))
         dz_pad = np.pad(dz, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
@@ -235,6 +242,53 @@ class TestLossAndGrads:
             loss_and_grads(net, rng.standard_normal((3, 3)), np.array([0, 1, 1]))
 
 
+def grads_like(net, weights, biases):
+    """A GradBuffer in ``net``'s layout holding copies of the given arrays."""
+    grads = GradBuffer.for_network(net)
+    for view, a in zip(grads.weights + grads.biases, list(weights) + list(biases)):
+        view[...] = a
+    return grads
+
+
+def random_grads(net, rng):
+    return grads_like(
+        net,
+        [rng.standard_normal(w.shape) for w in net.weights],
+        [rng.standard_normal(b.shape) for b in net.biases],
+    )
+
+
+def filter_pruned_net():
+    """Dense 5-6-4-3 net with filters cut from both hidden layers: layer 0
+    comes out of ``np.delete`` along axis 1, so it is F-ordered."""
+    net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+    flags = [np.ones(n, dtype=np.uint8) for n in (6, 4, 3)]
+    flags[0][[1, 4]] = 0
+    flags[1][[2]] = 0
+    return apply_hard_prune(net, Mask("filter", flags))
+
+
+def weight_pruned_net(rng):
+    """Dense 5-6-4-3 net with a third of layers 0 and 1 frozen at zero."""
+    net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+    flags = [np.ones(n, dtype=np.uint8) for n in group_counts(net, "weight")]
+    for l in (0, 1):
+        flags[l][rng.choice(len(flags[l]), size=len(flags[l]) // 3, replace=False)] = 0
+    return apply_hard_prune(net, Mask("weight", flags))
+
+
+def stride_order(a):
+    """Axes from the largest stride to the smallest."""
+    return sorted(range(a.ndim), key=lambda ax: -a.strides[ax])
+
+
+def slot(view, flat):
+    """Byte offset into ``flat``, shape and strides of a view of it."""
+    assert np.shares_memory(view, flat)
+    offset = view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+    return offset, view.shape, view.strides
+
+
 class TestSgdStep:
     def _net(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -246,24 +300,18 @@ class TestSgdStep:
             [np.zeros(2)],
         )
 
-    def _zero_grads(self, net):
-        return GradBuffer(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-        )
-
     def test_pure_decay_scales_weights(self):
         net = self._net()
         w0 = net.weights[0].copy()
         opt = OptimState.for_network(net, 0.1, momentum=0.0, base_decay=0.0)
-        sgd_step(net, self._zero_grads(net), opt, {0: 0.5})
+        sgd_step(net, GradBuffer.for_network(net), opt, {0: 0.5})
         assert np.allclose(net.weights[0], w0 * (1 - 0.1 * 0.5), atol=0.0)
 
     def test_negative_penalty_grows_weights(self):
         net = self._net()
         w0 = net.weights[0].copy()
         opt = OptimState.for_network(net, 0.1, momentum=0.0, base_decay=5e-4)
-        sgd_step(net, self._zero_grads(net), opt, {0: -5e-4})
+        sgd_step(net, GradBuffer.for_network(net), opt, {0: -5e-4})
         assert np.allclose(net.weights[0], w0 * (1 + 0.1 * 5e-4), atol=0.0)
 
     def test_quadratic_toy_reaches_penalty_equilibrium(self):
@@ -276,33 +324,51 @@ class TestSgdStep:
         lam = 0.3
         opt = OptimState.for_network(net, 0.1, momentum=0.9, base_decay=lam)
         for _ in range(10_000):
-            grads = GradBuffer([d * (net.weights[0] - a)], [np.zeros(2)])
+            grads = grads_like(net, [d * (net.weights[0] - a)], [np.zeros(2)])
             sgd_step(net, grads, opt)
         residual = lam * net.weights[0] + d * (net.weights[0] - a)
         assert np.max(np.abs(residual)) < 1e-6
 
     def test_matches_textbook_update_exactly(self, rng):
-        net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        dense = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        self._check_textbook(dense, None, rng)
+        # layer 0 comes out of the filter cut F-ordered
+        cut = filter_pruned_net()
+        assert stride_order(cut.weights[0]) == [1, 0]
+        self._check_textbook(
+            cut, {0: rng.uniform(-1e-3, 1e-2, cut.weights[0].shape), 1: 2e-3}, rng
+        )
+        frozen = weight_pruned_net(rng)
+        self._check_textbook(
+            frozen, {1: rng.uniform(0.0, 1e-2, frozen.weights[1].shape)}, rng
+        )
+        assert frozen.frozen[0].any() and frozen.frozen[1].any()
+
+    def _check_textbook(self, net, lambdas, rng):
+        """Five steps of sgd_step against per-layer textbook arithmetic,
+        frozen weights and velocities pinned after each; bit for bit."""
         gamma, lr, mu = 5e-4, 0.01, 0.9
+        lams = [(lambdas or {}).get(l, gamma) for l in range(len(net.layers))]
         ref_w = [w.copy() for w in net.weights]
         ref_b = [b.copy() for b in net.biases]
         ref_vw = [np.zeros_like(w) for w in net.weights]
         ref_vb = [np.zeros_like(b) for b in net.biases]
         opt = OptimState.for_network(net, lr, momentum=mu, base_decay=gamma)
         for _ in range(5):
-            grads = GradBuffer(
-                [rng.standard_normal(w.shape) for w in net.weights],
-                [rng.standard_normal(b.shape) for b in net.biases],
-            )
-            sgd_step(net, grads, opt)
+            grads = random_grads(net, rng)
+            sgd_step(net, grads, opt, lambdas)
             for l in range(len(ref_w)):
-                ref_vw[l] = ref_vw[l] * mu + (grads.weights[l] + gamma * ref_w[l])
+                ref_vw[l] = ref_vw[l] * mu + (grads.weights[l] + lams[l] * ref_w[l])
                 ref_w[l] = ref_w[l] - lr * ref_vw[l]
                 ref_vb[l] = ref_vb[l] * mu + grads.biases[l]
                 ref_b[l] = ref_b[l] - lr * ref_vb[l]
+                if net.frozen[l] is not None:
+                    ref_w[l][net.frozen[l]] = 0.0
+                    ref_vw[l][net.frozen[l]] = 0.0
         for l in range(len(ref_w)):
             assert np.max(np.abs(net.weights[l] - ref_w[l])) == 0.0
             assert np.max(np.abs(net.biases[l] - ref_b[l])) == 0.0
+            assert np.max(np.abs(opt.vel_w[l] - ref_vw[l])) == 0.0
 
     def test_frozen_weights_pinned_at_zero(self, rng):
         net = Network.initialize(mlp_specs([5]), (4,), 2, seed=8)
@@ -312,11 +378,7 @@ class TestSgdStep:
         net.frozen[0] = frozen
         opt = OptimState.for_network(net, 0.05)
         for _ in range(50):
-            grads = GradBuffer(
-                [rng.standard_normal(w.shape) for w in net.weights],
-                [rng.standard_normal(b.shape) for b in net.biases],
-            )
-            sgd_step(net, grads, opt)
+            sgd_step(net, random_grads(net, rng), opt)
         assert np.all(net.weights[0][frozen] == 0.0)
         assert np.any(net.weights[0][~frozen] != 0.0)
 
@@ -324,15 +386,45 @@ class TestSgdStep:
         net = self._net()
         opt = OptimState.for_network(net, 0.1)
         with pytest.raises(DimensionError):
-            sgd_step(net, self._zero_grads(net), opt, {0: np.ones(3)})
+            sgd_step(net, GradBuffer.for_network(net), opt, {0: np.ones(3)})
+
+    def test_wrong_penalty_shape_changes_nothing(self, rng):
+        net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        opt = OptimState.for_network(net, 0.01)
+        sgd_step(net, random_grads(net, rng), opt)
+        state = (net.flat_w, net.flat_b, opt.flat_vel_w, opt.flat_vel_b)
+        before = [a.tobytes() for a in state]
+        lambdas = {0: 1e-3, 1: np.ones(net.weights[1].shape), 2: np.ones(3)}
+        with pytest.raises(DimensionError, match="layer 2"):
+            sgd_step(net, random_grads(net, rng), opt, lambdas)
+        assert [a.tobytes() for a in state] == before
 
     def test_non_finite_update_rejected(self):
         net = self._net()
         opt = OptimState.for_network(net, 0.1)
-        grads = self._zero_grads(net)
+        grads = GradBuffer.for_network(net)
         grads.weights[0][0, 0] = np.inf
         with pytest.raises(NumericError):
             sgd_step(net, grads, opt)
+
+    def test_overflow_in_two_layers_names_the_first(self):
+        net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        opt = OptimState.for_network(net, 10.0, momentum=0.0)
+        grads = GradBuffer.for_network(net)
+        grads.weights[1][0, 0] = 1e308
+        grads.weights[2][0, 0] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"^layer 1: non-finite parameters after update$"
+        ):
+            sgd_step(net, grads, opt)
+
+    def test_finite_parameters_whose_sum_overflows_pass(self):
+        net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        net.weights[0][0, 0] = net.weights[2][0, 0] = 1e308
+        opt = OptimState.for_network(net, 0.01, base_decay=0.0)
+        with np.errstate(over="ignore"):
+            sgd_step(net, GradBuffer.for_network(net), opt)
+        assert net.weights[0][0, 0] == net.weights[2][0, 0] == 1e308
 
     def test_momentum_domain(self):
         net = self._net()
@@ -340,6 +432,83 @@ class TestSgdStep:
             OptimState.for_network(net, 0.1, momentum=1.0)
         with pytest.raises(DomainError):
             OptimState.for_network(net, -0.1)
+
+
+class TestFiniteGradients:
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        grads = GradBuffer.for_network(net)
+        grads.weights[0][0, 0] = grads.weights[2][1, 1] = 1e308
+        with np.errstate(over="ignore"):
+            grads.check_finite()
+
+    def test_nan_in_last_bias_gradient_rejected(self):
+        net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        grads = GradBuffer.for_network(net)
+        grads.biases[-1][-1] = np.nan
+        with pytest.raises(NumericError, match="^non-finite gradient values$"):
+            grads.check_finite()
+
+
+class TestFlatLayout:
+    def _pruned_pair(self, net, flags):
+        """``net`` pruned by ``flags``, which cut layer 0 only, and each
+        layer as a bare ``np.delete`` of the same cut gives it. Layer 1 is
+        of layer 0's kind."""
+        pruned = apply_hard_prune(net, Mask("filter", flags))
+        removed = np.flatnonzero(flags[0] == 0)
+        expect = [w.copy() for w in net.weights]
+        conv = net.layers[0].kind == "conv2d"
+        expect[0] = np.delete(expect[0], removed, axis=0 if conv else 1)
+        expect[1] = np.delete(expect[1], removed, axis=1 if conv else 0)
+        return pruned, expect
+
+    def test_filter_prune_keeps_np_delete_stride_order(self):
+        dense = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+        conv = small_conv_net(seed=3)
+        cuts = []
+        for net in (dense, conv):
+            flags = [np.ones(n, dtype=np.uint8) for n in group_counts(net, "filter")]
+            flags[0][[0, 2]] = 0
+            pruned, expect = self._pruned_pair(net, flags)
+            for w, e in zip(pruned.weights, expect):
+                assert np.shares_memory(w, pruned.flat_w)
+                assert stride_order(w) == stride_order(e)
+                assert np.array_equal(w, e)
+            for b in pruned.biases:
+                assert np.shares_memory(b, pruned.flat_b)
+            cuts.append(expect)
+        # the dense producer's cut is F-ordered, the conv consumer's neither C nor F
+        assert stride_order(cuts[0][0]) == [1, 0]
+        assert not (cuts[1][1].flags.c_contiguous or cuts[1][1].flags.f_contiguous)
+
+    def test_clone_is_c_ordered_and_independent(self):
+        pruned = filter_pruned_net()
+        copy = pruned.clone()
+        assert all(w.flags.c_contiguous for w in copy.weights)
+        assert not np.shares_memory(copy.flat_w, pruned.flat_w)
+        assert all(np.array_equal(a, b) for a, b in zip(copy.weights, pruned.weights))
+
+    def test_gradients_velocities_and_penalties_share_the_weights_layout(self, rng):
+        for net in (filter_pruned_net(), small_conv_net(seed=3)):
+            x = rng.standard_normal((6, *net.input_shape))
+            _, grads = loss_and_grads(net, x, rng.integers(0, net.classes, 6))
+            opt = OptimState.for_network(net, 0.01)
+            for l, w in enumerate(net.weights):
+                want = slot(w, net.flat_w)
+                assert slot(grads.weights[l], grads.flat_w) == want
+                assert slot(opt.vel_w[l], opt.flat_vel_w) == want
+                assert slot(opt.lam_w[l], opt.flat_lam) == want
+                want_b = slot(net.biases[l], net.flat_b)
+                assert slot(grads.biases[l], grads.flat_b) == want_b
+            assert opt.flat_vel_b.shape == net.flat_b.shape
+
+    def test_constructor_copies_its_arrays(self):
+        w = np.eye(2)
+        net = Network((LayerSpec("dense", 2, activation="none"),), (2,), 2,
+                      [w], [np.zeros(2)])
+        net.weights[0][0, 0] = 5.0
+        assert w[0, 0] == 1.0
 
 
 class TestDeterminism:
