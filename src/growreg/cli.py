@@ -69,14 +69,11 @@ def main():
 # -- oracle -------------------------------------------------------------------
 
 
-def _load_matrix(path):
+def _load_text(path, ndmin):
     try:
-        mat = np.loadtxt(path, ndmin=2)
+        return np.loadtxt(path, ndmin=ndmin)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
-    if mat.shape[0] != mat.shape[1]:
-        raise ConfigError(f"{path}: matrix is {mat.shape}, expected square")
-    return mat
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 @main.command()
@@ -97,19 +94,30 @@ def _load_matrix(path):
 @guarded
 def oracle(dim, cases, seed, deltas, tol, hessian_file, wstar_file, exact_vs_approx, out):
     """Check the closed-form equilibrium shift against the descent oracle."""
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"--tol must be finite and > 0, got {tol!r}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    for flag, val, low in (("--dim", dim, 2), ("--cases", cases, 1)):
+        if not hessian_file and val < low:
+            raise ConfigError(f"{flag} must be >= {low} for random cases, got {val}")
     deltas = list(deltas) or [0.01, 0.1]
-    out_dir = _out_dir(out, "oracle")
     rng = np.random.default_rng(seed)
 
     models = []
     if hessian_file:
-        h = _load_matrix(hessian_file)
-        w = (np.loadtxt(wstar_file, ndmin=1) if wstar_file else np.ones(h.shape[0]))
+        h = _load_text(hessian_file, 2)
+        if h.shape[0] != h.shape[1]:
+            raise ConfigError(f"{hessian_file}: matrix is {h.shape}, expected square")
+        if exact_vs_approx and len(h) != 2:
+            raise ConfigError("--exact-vs-approx needs a 2x2 Hessian")
+        w = _load_text(wstar_file, 1) if wstar_file else np.ones(len(h))
         models.append(quadratic.QuadraticModel(hessian=h, w_star=w))
     else:
         for _ in range(cases):
             d = 2 if exact_vs_approx else int(rng.integers(2, dim + 1))
             models.append(quadratic.random_psd_model(rng, d))
+    out_dir = _out_dir(out, "oracle")
 
     rows = ["case,dim,delta_lambda,residual_inf"]
     worst = 0.0
@@ -130,8 +138,6 @@ def oracle(dim, cases, seed, deltas, tol, hessian_file, wstar_file, exact_vs_app
     if exact_vs_approx:
         lines = ["case,delta_lambda,r1_approx,r2_approx,r1_exact,r2_exact,gap1,gap2"]
         for i, model in enumerate(models):
-            if model.dim != 2:
-                raise ConfigError("--exact-vs-approx needs 2x2 Hessians")
             w = model.w_star
             if np.any(w == 0):
                 model = quadratic.QuadraticModel(model.hessian, np.ones(2))

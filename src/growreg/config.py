@@ -183,7 +183,11 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
         raise ConfigError(
             f"experiment.dataset.kind: must be one of {sorted(_DATASET_KEYS)}"
         )
-    _check_keys(ds, _DATASET_KEYS[kind], {"kind", "n_val"}, "experiment.dataset")
+    required = {"kind", "n_val"} | ({"n_train"} if kind != "csv" else set())
+    _check_keys(ds, _DATASET_KEYS[kind], required, "experiment.dataset")
+    for key, low in (("n_train", 1), ("n_val", 1), ("seed", 0)):
+        if key in ds and ds[key] < low:
+            raise ConfigError(f"experiment.dataset.{key}: must be >= {low}, got {ds[key]}")
     if kind == "csv" and not os.path.exists(ds.get("path", "")):
         raise ConfigError(f"experiment.dataset.path: {ds.get('path')!r} not found")
 

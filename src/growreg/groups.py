@@ -263,10 +263,10 @@ def validate_plan_against(layers, plan: PruningPlan):
 
 
 def expand_group_values(net: Network, granularity: str, layer_values):
-    """Per-group scalars written into new weight-shaped arrays, layer by layer.
+    """Per-group scalars spread over their weights, in ``net.flat_w``'s layout.
 
-    Used to turn a per-group penalty map into the per-weight factors the
-    optimizer consumes.
+    Returns a new flat vector whose slot for each weight holds its group's
+    value: the per-weight penalty factors :func:`netcore.sgd_step` takes.
     """
     _check_granularity(granularity)
     counts = group_counts(net, granularity)
@@ -274,10 +274,12 @@ def expand_group_values(net: Network, granularity: str, layer_values):
         raise DimensionError("group values do not cover the network's groups")
     out = []
     for spec, w, vals in zip(net.layers, net.weights, layer_values):
-        e = np.empty(w.shape)  # C order, so the view writes into it
+        # C order, so the view writes into it; a layer's own slot may be a
+        # stride order that group_view would copy, losing the writes
+        e = np.empty(w.shape)
         group_view(spec, e, granularity)[:] = np.asarray(vals, dtype=float)[:, None]
         out.append(e)
-    return out
+    return net._w_layout.copy(out)[0]
 
 
 def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Network:

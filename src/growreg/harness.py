@@ -110,7 +110,7 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         for name, low in (("reg_batch_size", 1), ("reg_max_iters", 0),
-                          ("metric_every", 1)):
+                          ("metric_every", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 < float(self.reg_lr) < np.inf:
@@ -187,8 +187,8 @@ def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
            on_step=None):
     """The SGD loop of every phase: ``sched.steps`` momentum-SGD steps.
 
-    ``penalties(step)``, called before each batch is drawn, returns the
-    ``{layer: per-weight factors}`` map for that step (uniform
+    ``penalties(step)``, called before each batch is drawn, returns that
+    step's per-weight factors in ``net.flat_w``'s layout (uniform
     ``base_decay`` when absent); ``on_step(step, loss)`` runs after each
     update. A diverging run raises ``NumericError`` from the step's
     finiteness checks; numpy's floating-point warnings from the step math
@@ -200,11 +200,11 @@ def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
     batches = data.batches(sched.batch_size, rng)
     for step in range(sched.steps):
         opt.learning_rate = sched.lr_at(step)
-        lambdas = penalties(step) if penalties is not None else None
+        penalty = penalties(step) if penalties is not None else None
         x, y = next(batches)
         with np.errstate(all="ignore"):
             loss, grads = loss_and_grads(net, x, y)
-            sgd_step(net, grads, opt, lambdas)
+            sgd_step(net, grads, opt, penalty)
         if on_step is not None:
             on_step(step, loss)
     return net

@@ -9,7 +9,7 @@ the reported loss is the task loss alone. Biases are never penalized.
 
 Each network keeps its parameters in two flat float64 buffers, ``flat_w``
 and ``flat_b``; ``weights[l]`` and ``biases[l]`` are views into them.
-Gradients, velocities and penalty factors use the same layout, so
+Gradients, velocities and the penalty vector use the same layout, so
 :func:`sgd_step` updates the whole network in a few whole-buffer calls.
 A layer's view keeps the stride order of the array the network was built
 from (numpy's ``order="K"``): a filter cut made by ``np.delete`` along a
@@ -385,8 +385,7 @@ class OptimState:
     """SGD-with-momentum state in the network's layout.
 
     Velocities are two flat buffers; ``vel_w[l]`` is a view into the
-    weights' one. ``lam_w[l]`` is a view into the penalty buffer that
-    :func:`sgd_step` fills with a step's per-weight factors.
+    weights' one.
     """
 
     learning_rate: float
@@ -394,9 +393,7 @@ class OptimState:
     base_decay: float = 5e-4
     flat_vel_w: np.ndarray = field(default=None, init=False)
     flat_vel_b: np.ndarray = field(default=None, init=False)
-    flat_lam: np.ndarray = field(default=None, init=False)
     vel_w: list = field(default=None, init=False)
-    lam_w: list = field(default=None, init=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -409,38 +406,32 @@ class OptimState:
         state = cls(learning_rate, momentum, base_decay)
         state.flat_vel_w, state.vel_w = net._w_layout.allocate()
         state.flat_vel_b = np.zeros(net.flat_b.size)
-        state.flat_lam, state.lam_w = net._w_layout.allocate(np.empty)
         return state
 
 
-def sgd_step(net: Network, grads: GradBuffer, opt: OptimState, lambdas=None):
+def sgd_step(net: Network, grads: GradBuffer, opt: OptimState, penalty=None):
     """One momentum-SGD update with a per-weight L2 penalty factor.
 
-    ``lambdas`` maps layer index to either a scalar or a weight-shaped
-    array of penalty factors; layers not present fall back to the
-    optimizer's base decay, and negative factors (which grow weights) are
-    allowed. Every shape is checked before anything changes. Frozen
-    weights and their velocities are pinned back to zero after the
-    update. ``grads`` and ``opt`` must be laid out for ``net`` (made from
-    it by :func:`loss_and_grads`, :meth:`GradBuffer.for_network` and
+    ``penalty`` is a flat vector of one factor per weight in ``net.flat_w``'s
+    layout, as :func:`groups.expand_group_values` builds it, or None for
+    the optimizer's base decay on every weight. Negative factors (which
+    grow weights) are allowed; ``penalty`` is read, never written, and its
+    shape is checked before anything changes. Frozen weights and their
+    velocities are pinned back to zero after the update. ``grads`` and
+    ``opt`` must be laid out for ``net`` (made from it by
+    :func:`loss_and_grads`, :meth:`GradBuffer.for_network` and
     :meth:`OptimState.for_network`), since the update pairs flat buffers
     entry by entry. Mutates ``net`` and ``opt`` and returns ``net``.
     """
-    lam = opt.base_decay
-    if lambdas:
-        factors = [lambdas.get(l, opt.base_decay) for l in range(len(net.layers))]
-        for l, (f, w) in enumerate(zip(factors, net.weights)):
-            if np.shape(f) not in ((), w.shape):
-                raise DimensionError(
-                    f"layer {l}: penalty factors shape {np.shape(f)} does not cover "
-                    f"weights {w.shape}"
-                )
-        for view, f in zip(opt.lam_w, factors):
-            view[...] = f
-        lam = opt.flat_lam
+    if penalty is None:
+        penalty = opt.base_decay
+    elif penalty.shape != net.flat_w.shape:
+        raise DimensionError(
+            f"penalty factors shape {penalty.shape}, expected {net.flat_w.shape}"
+        )
     v, vb = opt.flat_vel_w, opt.flat_vel_b
     v *= opt.momentum
-    v += grads.flat_w + lam * net.flat_w
+    v += grads.flat_w + penalty * net.flat_w
     net.flat_w -= opt.learning_rate * v
     vb *= opt.momentum
     vb += grads.flat_b

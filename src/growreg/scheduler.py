@@ -11,9 +11,9 @@ rises every ``k_update`` ticks, greg2 picks at the first boundary that sees
 it above ``tau_prime``, and the boundary whose increment passes ``tau``
 starts ``k_stabilize`` ticks of frozen penalties, after which the caller
 hard-prunes. :func:`_staircase` works it out by arithmetic at init. A
-tick, one SGD iteration, walks it and returns the ``{layer: per-weight
-penalty factors}`` map ``sgd_step`` takes, rebuilt only at a boundary;
-the phase follows from the tick count.
+tick, one SGD iteration, walks it and returns the flat per-weight penalty
+vector ``sgd_step`` takes, rebuilt only at a boundary; the phase follows
+from the tick count.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class RegState:
     lam: float = 0.0
     # group counts captured at init so masks can be rebuilt without the net
     _counts: list = None
-    # per-weight penalty factors, rebuilt at each ramp boundary
-    factors: dict = None
+    # per-weight penalty factors in net.flat_w's layout, rebuilt at each boundary
+    factors: np.ndarray = None
 
     @property
     def phase(self) -> str:
@@ -244,17 +244,18 @@ def ramp_length(cfg: RegConfig, method: str, pick_empty: bool = False) -> int:
     return last * cfg.k_update + max(1, cfg.k_stabilize)
 
 
-def tick(state: RegState, net: Network, cfg: RegConfig) -> dict:
-    """Advance one iteration; returns ``{layer: per-weight penalty factors}``.
+def tick(state: RegState, net: Network, cfg: RegConfig) -> np.ndarray:
+    """Advance one iteration; returns the per-weight penalty factors.
 
     At boundary ``b <= last`` the penalty is set from ``b`` (see
     :func:`_staircase`); greg2's pick boundary first re-scores the groups
     by L1 norm, fixes the prune set and puts the kept set on the negated
     base decay. The factors apply to this tick's weight update: base decay
     on a group in neither set, the penalty on the prune set, the negated
-    base decay on the kept set. They are rebuilt at each boundary and kept
-    on the state as ``factors``, so every other tick returns the same
-    object. ``net`` is read for the pick's L1 scores and the weight shapes.
+    base decay on the kept set. They form one flat vector in
+    ``net.flat_w``'s layout, rebuilt at each boundary and kept on the state
+    as ``factors``, so every other tick returns the same object. ``net`` is
+    read for the pick's L1 scores and its weights' layout.
     """
     if state.phase == DONE:
         raise ScheduleError("tick called on a finished schedule")
@@ -271,14 +272,14 @@ def tick(state: RegState, net: Network, cfg: RegConfig) -> dict:
     return state.factors
 
 
-def _factors(state: RegState, net: Network, cfg: RegConfig) -> dict:
+def _factors(state: RegState, net: Network, cfg: RegConfig) -> np.ndarray:
     groups = []
     for n, p, k in zip(state._counts, state.prune_sets, state.kept_sets):
         arr = np.full(n, cfg.base_decay, dtype=float)
         arr[p] = state.lam
         arr[k] = -cfg.base_decay
         groups.append(arr)
-    return dict(enumerate(expand_group_values(net, state.granularity, groups)))
+    return expand_group_values(net, state.granularity, groups)
 
 
 def _pick(state: RegState, net: Network):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from growreg.groups import expand_group_values
 from growreg.netcore import LayerSpec, Network
 
 
@@ -23,6 +24,26 @@ def small_conv_net(seed=0, classes=3):
         classes,
         seed=seed,
     )
+
+
+def weight_views(net, flat):
+    """``flat``, a vector in ``net.flat_w``'s layout, seen layer by layer
+    through the byte offset, shape and strides of each ``net.weights[l]``."""
+    base = net.flat_w.__array_interface__["data"][0]
+    return [
+        np.ndarray(w.shape, float, buffer=flat, strides=w.strides,
+                   offset=w.__array_interface__["data"][0] - base)
+        for w in net.weights
+    ]
+
+
+def penalty_for(net, per_layer):
+    """A penalty vector in ``net.flat_w``'s layout from one scalar or one
+    weight-shaped array of factors per layer."""
+    return expand_group_values(net, "weight", [
+        np.broadcast_to(np.asarray(v, dtype=float), w.shape).ravel()
+        for v, w in zip(per_layer, net.weights)
+    ])
 
 
 @pytest.fixture

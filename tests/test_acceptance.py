@@ -184,7 +184,7 @@ def test_c05_equilibrium_residual():
     residual = np.inf
     for step in range(60_000):
         loss, grads = loss_and_grads(net, x, y)
-        sgd_step(net, grads, opt, {0: lam})
+        sgd_step(net, grads, opt, np.full(net.flat_w.size, lam))
         if step % 200 == 0:
             residual = max(
                 float(np.max(np.abs(lam * net.weights[0] + grads.weights[0]))),

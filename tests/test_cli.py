@@ -101,6 +101,45 @@ class TestOracle:
         assert "delta_lambda must be finite" in result.stderr
         assert "Warning" not in result.stderr
 
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "1"], ["--dim", "0"], ["--cases", "0"], ["--cases", "-3"],
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--seed", "-1"],
+    ], ids=" ".join)
+    def test_bad_flag_exits_2_before_any_case(self, runner, tmp_path, flags):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["oracle", *flags, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+        assert result.output.startswith(f"error: {flags[0]} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--wstar-file", "{tmp}/missing.txt"], "error: cannot read {tmp}/missing.txt: "),
+        (["--exact-vs-approx"], "error: --exact-vs-approx needs a 2x2 Hessian"),
+    ], ids=["missing-wstar", "exact-vs-approx-3x3"])
+    def test_bad_hessian_case_exits_2_before_any_case(self, runner, tmp_path, flags,
+                                                        message):
+        h = tmp_path / "h.txt"
+        np.savetxt(h, np.diag([1.0, 2.0, 3.0]))
+        out = tmp_path / "o"
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        result = runner.invoke(main, ["oracle", "--hessian-file", str(h), *flags,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+        assert result.output.startswith(message.format(tmp=tmp_path))
+        assert not out.exists()
+
+    def test_dim_and_cases_unchecked_for_a_hessian_file(self, runner, tmp_path):
+        h = tmp_path / "h.txt"
+        np.savetxt(h, np.array([[2.0, 0.5], [0.5, 1.0]]))
+        result = runner.invoke(
+            main, ["oracle", "--hessian-file", str(h), "--dim", "1", "--cases", "0",
+                   "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 0, result.output
+        assert "oracle: 1 case(s)" in result.output
+
     def test_exact_vs_approx_table(self, runner, tmp_path):
         out = tmp_path / "oracle2"
         result = runner.invoke(
@@ -300,6 +339,12 @@ class TestValidationExitCodes:
         ("reg_max_iters", -1),
         ("reg.base_decay", float("nan")),
         ("reg.base_decay", -1.0),
+        ("seed", -1),
+        ("dataset.seed", -1),
+        ("dataset.n_train", 0),
+        ("dataset.n_train", -1),
+        ("dataset.n_val", 0),
+        ("dataset.n_val", -1),
     ])
     def test_bad_field_names_path(self, runner, tmp_path, field, value):
         cfg = tiny_config(tmp_path)
@@ -315,6 +360,26 @@ class TestValidationExitCodes:
         assert result.exit_code == 2, result.output
         assert len(result.output.strip().splitlines()) == 1
         assert all(part in result.output for part in field.split("."))
+
+    def test_csv_n_val_below_one_names_path(self, runner, tmp_path):
+        rows = tmp_path / "rows.csv"
+        np.savetxt(rows, np.c_[np.eye(4, 2), np.arange(4) % 2], delimiter=",")
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["dataset"] = {"kind": "csv", "path": str(rows), "n_val": -1}
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out",
+                                      str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: experiment.dataset.n_val: must be >= 1, got -1\n"
+
+    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    def test_negative_seed_flag_exits_2(self, runner, tmp_path, command):
+        cfg = tiny_config(tmp_path)
+        result = runner.invoke(main, [command, "--config", str(cfg), "--seed", "-1",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("field, value", [
         ("experiment.net.layers", 5),

@@ -103,6 +103,13 @@ def test_unknown_dataset_kind():
         config_from_dict(doc)
 
 
+def test_generated_dataset_needs_n_train():
+    doc = minimal_doc()
+    del doc["experiment"]["dataset"]["n_train"]
+    with pytest.raises(ConfigError, match=r"experiment\.dataset: missing .*n_train"):
+        config_from_dict(doc)
+
+
 def test_csv_path_must_resolve():
     doc = minimal_doc(
         experiment={"dataset": {"kind": "csv", "path": "/nope.csv", "n_val": 8}}

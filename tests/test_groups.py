@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mlp_specs, small_conv_net
+from conftest import mlp_specs, small_conv_net, weight_views
 from growreg.errors import DimensionError, DomainError, PlanError, StructureError
 from growreg.groups import (
     GRANULARITIES,
@@ -319,21 +319,47 @@ class TestDispersion:
             norm_dispersion([0.0, 0.0])
 
 
+def cut_layer0(net, removed):
+    """``net`` with the given filters of layer 0 cut by ``apply_hard_prune``."""
+    flags = [np.ones(n, dtype=np.uint8) for n in group_counts(net, "filter")]
+    flags[0][removed] = 0
+    return apply_hard_prune(net, Mask("filter", flags))
+
+
 class TestExpandGroupValues:
-    def test_filter_expansion_shapes(self):
-        net = small_conv_net(seed=7)
-        vals = [np.arange(s.units, dtype=float) for s in net.layers]
-        expanded = expand_group_values(net, "filter", vals)
-        for spec, w, e, v in zip(net.layers, net.weights, expanded, vals):
-            assert e.shape == w.shape
+    def _check(self, net, granularity):
+        """Each group's value, distinct per group, fills every slot of its
+        weights in the flat vector."""
+        vals = [np.arange(n, dtype=float) + 100 * l
+                for l, n in enumerate(group_counts(net, granularity))]
+        expanded = expand_group_values(net, granularity, vals)
+        assert expanded.shape == net.flat_w.shape
+        for spec, w, e, v in zip(net.layers, net.weights,
+                                 weight_views(net, expanded), vals):
+            if granularity == "weight":  # groups in C order of the weights
+                assert np.array_equal(e.ravel(), v)
+                continue
             # a dense group is the column of its unit, a conv group its filter
             axis = 1 if spec.kind == "dense" else 0
             for idx in np.ndindex(w.shape):
                 assert e[idx] == v[idx[axis]]
 
+    def test_filter_expansion_shapes(self):
+        self._check(small_conv_net(seed=7), "filter")
+
     def test_weight_expansion_is_reshape(self):
-        net = Network.initialize(mlp_specs([3]), (2,), 2, seed=0)
-        vals = [np.arange(w.size, dtype=float) for w in net.weights]
-        expanded = expand_group_values(net, "weight", vals)
-        for w, e, v in zip(net.weights, expanded, vals):
-            assert np.array_equal(e.ravel(), v)
+        self._check(Network.initialize(mlp_specs([3]), (2,), 2, seed=0), "weight")
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_filter_pruned_nets(self, granularity):
+        dense = cut_layer0(Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3,
+                                              seed=7), [1, 4])
+        conv = cut_layer0(small_conv_net(seed=3), [0, 2])
+        # the dense cut is F-ordered, the conv consumer's channel cut
+        # neither C- nor F-ordered, so group_view of either is a copy
+        assert dense.weights[0].flags.f_contiguous
+        assert not dense.weights[0].flags.c_contiguous
+        assert not (conv.weights[1].flags.c_contiguous
+                    or conv.weights[1].flags.f_contiguous)
+        self._check(dense, granularity)
+        self._check(conv, granularity)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import mlp_specs, small_conv_net
+from conftest import mlp_specs, penalty_for, small_conv_net, weight_views
 from growreg.errors import DimensionError, DomainError, NumericError
 from growreg.groups import Mask, apply_hard_prune, group_counts
 from growreg.netcore import (
@@ -304,14 +304,14 @@ class TestSgdStep:
         net = self._net()
         w0 = net.weights[0].copy()
         opt = OptimState.for_network(net, 0.1, momentum=0.0, base_decay=0.0)
-        sgd_step(net, GradBuffer.for_network(net), opt, {0: 0.5})
+        sgd_step(net, GradBuffer.for_network(net), opt, penalty_for(net, [0.5]))
         assert np.allclose(net.weights[0], w0 * (1 - 0.1 * 0.5), atol=0.0)
 
     def test_negative_penalty_grows_weights(self):
         net = self._net()
         w0 = net.weights[0].copy()
         opt = OptimState.for_network(net, 0.1, momentum=0.0, base_decay=5e-4)
-        sgd_step(net, GradBuffer.for_network(net), opt, {0: -5e-4})
+        sgd_step(net, GradBuffer.for_network(net), opt, penalty_for(net, [-5e-4]))
         assert np.allclose(net.weights[0], w0 * (1 + 0.1 * 5e-4), atol=0.0)
 
     def test_quadratic_toy_reaches_penalty_equilibrium(self):
@@ -336,19 +336,21 @@ class TestSgdStep:
         cut = filter_pruned_net()
         assert stride_order(cut.weights[0]) == [1, 0]
         self._check_textbook(
-            cut, {0: rng.uniform(-1e-3, 1e-2, cut.weights[0].shape), 1: 2e-3}, rng
+            cut, [rng.uniform(-1e-3, 1e-2, cut.weights[0].shape), 2e-3, 5e-4], rng
         )
         frozen = weight_pruned_net(rng)
         self._check_textbook(
-            frozen, {1: rng.uniform(0.0, 1e-2, frozen.weights[1].shape)}, rng
+            frozen, [5e-4, rng.uniform(0.0, 1e-2, frozen.weights[1].shape), 5e-4], rng
         )
         assert frozen.frozen[0].any() and frozen.frozen[1].any()
 
-    def _check_textbook(self, net, lambdas, rng):
+    def _check_textbook(self, net, lams, rng):
         """Five steps of sgd_step against per-layer textbook arithmetic,
-        frozen weights and velocities pinned after each; bit for bit."""
+        frozen weights and velocities pinned after each; bit for bit.
+        ``lams`` gives each layer's factors, or is None for the base decay."""
         gamma, lr, mu = 5e-4, 0.01, 0.9
-        lams = [(lambdas or {}).get(l, gamma) for l in range(len(net.layers))]
+        penalty = None if lams is None else penalty_for(net, lams)
+        lams = lams or [gamma] * len(net.layers)
         ref_w = [w.copy() for w in net.weights]
         ref_b = [b.copy() for b in net.biases]
         ref_vw = [np.zeros_like(w) for w in net.weights]
@@ -356,7 +358,7 @@ class TestSgdStep:
         opt = OptimState.for_network(net, lr, momentum=mu, base_decay=gamma)
         for _ in range(5):
             grads = random_grads(net, rng)
-            sgd_step(net, grads, opt, lambdas)
+            sgd_step(net, grads, opt, penalty)
             for l in range(len(ref_w)):
                 ref_vw[l] = ref_vw[l] * mu + (grads.weights[l] + lams[l] * ref_w[l])
                 ref_w[l] = ref_w[l] - lr * ref_vw[l]
@@ -386,7 +388,7 @@ class TestSgdStep:
         net = self._net()
         opt = OptimState.for_network(net, 0.1)
         with pytest.raises(DimensionError):
-            sgd_step(net, GradBuffer.for_network(net), opt, {0: np.ones(3)})
+            sgd_step(net, GradBuffer.for_network(net), opt, np.ones(3))
 
     def test_wrong_penalty_shape_changes_nothing(self, rng):
         net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
@@ -394,10 +396,22 @@ class TestSgdStep:
         sgd_step(net, random_grads(net, rng), opt)
         state = (net.flat_w, net.flat_b, opt.flat_vel_w, opt.flat_vel_b)
         before = [a.tobytes() for a in state]
-        lambdas = {0: 1e-3, 1: np.ones(net.weights[1].shape), 2: np.ones(3)}
-        with pytest.raises(DimensionError, match="layer 2"):
-            sgd_step(net, random_grads(net, rng), opt, lambdas)
-        assert [a.tobytes() for a in state] == before
+        n = net.flat_w.size
+        for bad in (np.ones(n - 1), np.ones(n + 1), np.ones((1, n))):
+            with pytest.raises(DimensionError, match=rf"expected \({n},\)$"):
+                sgd_step(net, random_grads(net, rng), opt, bad)
+            assert [a.tobytes() for a in state] == before
+
+    def test_penalty_left_unchanged(self, rng):
+        # tick hands the same vector to every step between two boundaries
+        net = filter_pruned_net()
+        penalty = penalty_for(net, [rng.uniform(-1e-3, 1e-2, w.shape)
+                                    for w in net.weights])
+        before = penalty.tobytes()
+        opt = OptimState.for_network(net, 0.01)
+        for _ in range(3):
+            sgd_step(net, random_grads(net, rng), opt, penalty)
+        assert penalty.tobytes() == before
 
     def test_non_finite_update_rejected(self):
         net = self._net()
@@ -498,10 +512,14 @@ class TestFlatLayout:
                 want = slot(w, net.flat_w)
                 assert slot(grads.weights[l], grads.flat_w) == want
                 assert slot(opt.vel_w[l], opt.flat_vel_w) == want
-                assert slot(opt.lam_w[l], opt.flat_lam) == want
                 want_b = slot(net.biases[l], net.flat_b)
                 assert slot(grads.biases[l], grads.flat_b) == want_b
             assert opt.flat_vel_b.shape == net.flat_b.shape
+            # each weight's penalty factor sits at that weight's own index
+            index = np.arange(net.flat_w.size, dtype=float)
+            assert np.array_equal(
+                penalty_for(net, weight_views(net, index)), index
+            )
 
     def test_constructor_copies_its_arrays(self):
         w = np.eye(2)

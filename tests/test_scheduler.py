@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mlp_specs
+from conftest import mlp_specs, weight_views
 from growreg import scheduler
 from growreg.errors import DomainError, ScheduleError
 from growreg.groups import Mask, parse_pruning_plan
@@ -178,9 +178,10 @@ class TestTick:
         plan = parse_pruning_plan("[0.5, 0]", 2)
         cfg = RegConfig(delta_lambda=0.1, tau=1.0, k_update=1, base_decay=5e-4)
         state = greg1_init(net, plan, cfg)
-        lambdas = tick(state, net, cfg)
+        factors = tick(state, net, cfg)
+        assert factors.shape == net.flat_w.shape
+        lambdas = weight_views(net, factors)
         # per-weight factors: a dense group is a column
-        assert lambdas[0].shape == net.weights[0].shape
         assert lambdas[0][:, 0] == pytest.approx([0.1, 0.1])
         assert lambdas[0][:, 2] == pytest.approx([0.1, 0.1])
         assert lambdas[0][:, 1] == pytest.approx([5e-4, 5e-4])
@@ -205,13 +206,14 @@ class TestTick:
         state = greg2_init(net, plan, cfg)
         saw_picked = False
         while state.phase != DONE:
-            lambdas = tick(state, net, cfg)
+            factors = tick(state, net, cfg)
             if state.phase == GROWING:
                 # pre-pick: nothing carries a negative factor
-                assert not any((lg < 0).any() for lg in lambdas.values())
+                assert not (factors < 0).any()
             if state.kept_sets[0].size:
                 saw_picked = True
-                assert np.all(lambdas[0][:, state.kept_sets[0]] == -5e-4)
+                layer0 = weight_views(net, factors)[0]
+                assert np.all(layer0[:, state.kept_sets[0]] == -5e-4)
         assert saw_picked
 
     def test_tick_after_done_raises(self):
@@ -344,16 +346,17 @@ class TestRampLength:
 
 
 def expected_factors(state, net, cfg):
-    """Per-weight factors written out group by group: base decay, the ramped
-    penalty on the prune set, the negated base decay on the kept set."""
-    out = {}
+    """Per-weight factors of each layer written out group by group: base
+    decay, the ramped penalty on the prune set, the negated base decay on
+    the kept set."""
+    out = []
     for l, w in enumerate(net.weights):
         want = np.full(w.shape, cfg.base_decay)
         # a view whose first axis indexes the layer's groups
         groups = want.reshape(-1) if state.granularity == "weight" else want.T
         groups[state.prune_sets[l]] = state.lam
         groups[state.kept_sets[l]] = -cfg.base_decay
-        out[l] = want
+        out.append(want)
     return out
 
 
@@ -389,8 +392,7 @@ class TestTickProperties:
                 # built once per boundary, the same object on every other tick
                 assert expand.call_count == boundaries
                 assert boundary or factors is prev
+                assert factors.shape == net.flat_w.shape
                 want = expected_factors(state, net, cfg)
-                assert sorted(factors) == sorted(want)
-                for l, w in want.items():
-                    assert factors[l].shape == w.shape
-                    assert np.array_equal(factors[l], w)
+                for got, w in zip(weight_views(net, factors), want, strict=True):
+                    assert np.array_equal(got, w)
