@@ -81,7 +81,7 @@ def _load_text(path, ndmin):
 @click.option("--cases", default=50, show_default=True, help="Random cases to run.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--delta-lambda", "deltas", multiple=True, type=float,
-              help="Penalty bumps to test (default: 0.01 and 0.1).")
+              help="Penalty bumps to test, each > 0 (default: 0.01 and 0.1).")
 @click.option("--tol", default=1e-8, show_default=True,
               help="Max allowed closed-form vs descent residual.")
 @click.option("--hessian-file", type=click.Path(), default=None,
@@ -98,6 +98,9 @@ def oracle(dim, cases, seed, deltas, tol, hessian_file, wstar_file, exact_vs_app
         raise ConfigError(f"--tol must be finite and > 0, got {tol!r}")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
+    for d in deltas:
+        if not 0 < d < np.inf:
+            raise ConfigError(f"--delta-lambda: delta_lambda must be finite and > 0, got {d!r}")
     for flag, val, low in (("--dim", dim, 2), ("--cases", cases, 1)):
         if not hessian_file and val < low:
             raise ConfigError(f"{flag} must be >= {low} for random cases, got {val}")

@@ -9,8 +9,8 @@ The harness owns the comparison protocols. A same-set comparison runs the
 ramped schedule and one-shot pruning from one shared baseline with the
 identical pruned set per seed (asserted via mask digests); the random-set
 variant shares one seeded random mask between both schedules. Separation
-tracking records per-layer norm dispersion and normalized norm snapshots
-while the penalty grows.
+tracking records per-layer norm dispersion and norm snapshots from one
+baseline, while the penalty grows and for the same ticks without it.
 
 Records are plain rows plus a summary dict, both rendered to CSV with
 repr-formatted floats so identical configs reproduce byte-identical files.
@@ -40,6 +40,7 @@ from .groups import (
 )
 from .netcore import Network, OptimState, accuracy, loss_and_grads, sgd_step
 from .scheduler import (
+    RAMPED,
     RegConfig,
     RegState,
     greg1_init,
@@ -175,11 +176,9 @@ def _f(x) -> str:
 def build_dataset(exp: ExperimentConfig, seed_shift: int = 0) -> Dataset:
     spec = dict(exp.dataset)
     kind = spec.pop("kind", None)
-    if kind == "csv":
-        if seed_shift:
-            spec["seed"] = spec.get("seed", 0) + seed_shift
-        return load_csv_dataset(**spec)
     spec["seed"] = spec.get("seed", 0) + seed_shift
+    if kind == "csv":
+        return load_csv_dataset(**spec)
     return make_dataset(kind, **spec)
 
 
@@ -372,11 +371,10 @@ def suppression_stats(net: Network, state: RegState) -> dict:
     kept_means = []
     for l in state.eligible_layers:
         a = np.abs(group_view(net.layers[l], net.weights[l], state.granularity))
-        pruned = np.asarray(state.prune_sets[l], dtype=int)
-        kept = np.setdiff1d(np.arange(len(a)), pruned)
-        if pruned.size:
+        pruned = state.roles[l] == RAMPED
+        if pruned.any():
             pruned_max = max(pruned_max, float(a[pruned].max()))
-        kept_means.extend(a[kept].mean(axis=1).tolist())
+        kept_means.extend(a[~pruned].mean(axis=1).tolist())
     if not kept_means:
         return {}
     mean_kept = float(np.mean(kept_means))
@@ -462,18 +460,22 @@ def schedule_length(exp: ExperimentConfig) -> int:
     return ramp_length(exp.reg, exp.method)
 
 
-def track_separation(exp: ExperimentConfig, control: bool = False) -> ExperimentRecord:
-    """Record dispersion series and norm snapshots under the growing penalty.
+def track_separation(exp: ExperimentConfig) -> tuple[ExperimentRecord, ExperimentRecord]:
+    """Dispersion series and norm snapshots with and without the growing penalty.
 
-    With ``control=True`` the scheduler is bypassed: the net trains for the
-    same number of ticks under the uniform base decay, isolating what the
+    Returns ``(ramp, control)`` records, each run on its own clone of one
+    pretrained baseline: ``ramp`` under the greg2 scheduler, ``control``
+    for the same ticks under the uniform base decay, isolating what the
     growing penalty adds.
     """
     exp = replace(exp, method="greg2")
     data = build_dataset(exp)
-    net = pretrain(exp, data).clone()
-    record = ExperimentRecord(n_layers=len(net.layers))
-    state = greg2_init(net, exp.pruning_plan, exp.reg)
-    _run_reg_phase(net, data, exp, state, record, control)
-    record.summary = {"mode": "control" if control else "greg2", "ticks": state.ticks}
-    return record
+    baseline = pretrain(exp, data)
+    records = []
+    for control in (False, True):
+        net = baseline.clone()
+        state = greg2_init(net, exp.pruning_plan, exp.reg)
+        summary = {"mode": "control" if control else "greg2", "ticks": state.ticks}
+        records.append(ExperimentRecord(n_layers=len(net.layers), summary=summary))
+        _run_reg_phase(net, data, exp, state, records[-1], control)
+    return tuple(records)

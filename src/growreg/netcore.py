@@ -227,9 +227,6 @@ class Network:
     def num_weights(self):
         return int(self.flat_w.size)
 
-    def __len__(self):
-        return len(self.layers)
-
 
 def _infer_shapes(layers, input_shape):
     """Per-layer input shapes; raises on incompatible chains."""

@@ -6,6 +6,11 @@ prunable group until a picking ceiling, lets the induced magnitude gap
 choose the prune set, then keeps ramping the pruned groups while the kept
 groups recover under the negated base decay.
 
+Each group's role indexes the factor table ``(base_decay, lam,
+-base_decay)``: ``BASE``, ``RAMPED`` (greg1's set, greg2's eligible groups
+before the pick and its pruned ones after; pruned when done) or
+``RECOVERING`` (greg2's kept groups after the pick).
+
 The ramp is a staircase fixed by the ramp constants alone: the penalty
 rises every ``k_update`` ticks, greg2 picks at the first boundary that sees
 it above ``tau_prime``, and the boundary whose increment passes ``tau``
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ScheduleError
+from .errors import DimensionError, DomainError, ScheduleError
 from .groups import (
     Mask,
     PruningPlan,
@@ -39,6 +44,8 @@ GROWING = "growing"
 PICKED = "picked"
 STABILIZING = "stabilizing"
 DONE = "done"
+
+BASE, RAMPED, RECOVERING = 0, 1, 2  # group roles, see the module notes
 
 # relative slack so an increment landing exactly on a ceiling does not
 # register as "above" it through accumulated rounding
@@ -84,16 +91,16 @@ class RegConfig:
 
 @dataclass(eq=False)
 class RegState:
-    """Prune / kept index sets plus the staircase of :func:`_staircase`.
+    """Per-layer group roles plus the staircase of :func:`_staircase`.
 
-    Boundary ``b`` falls on tick ``b * k_update``; ``ticks`` is 0 when
-    nothing is to be pruned. The phase follows from ``iter``.
+    ``roles[l][g]`` is the role of layer ``l``'s group ``g``. Boundary
+    ``b`` falls on tick ``b * k_update``; ``ticks`` is 0 when nothing is to
+    be pruned. The phase follows from ``iter``.
     """
 
     method: str
     plan: PruningPlan
-    prune_sets: list
-    kept_sets: list
+    roles: list
     eligible_layers: list
     pick: int
     last: int
@@ -101,8 +108,6 @@ class RegState:
     k_update: int
     iter: int = 0
     lam: float = 0.0
-    # group counts captured at init so masks can be rebuilt without the net
-    _counts: list = None
     # per-weight penalty factors in net.flat_w's layout, rebuilt at each boundary
     factors: np.ndarray = None
 
@@ -122,13 +127,8 @@ class RegState:
         return self.plan.granularity
 
     def prune_mask(self) -> Mask:
-        """Keep-flags mask over the recorded prune sets."""
-        flags = []
-        for n, p in zip(self._counts, self.prune_sets):
-            f = np.ones(n, dtype=np.uint8)
-            f[p] = 0
-            flags.append(f)
-        return Mask(granularity=self.granularity, flags=flags)
+        """Keep-flags mask that prunes the ``RAMPED`` groups."""
+        return Mask(self.granularity, [(r != RAMPED).astype(np.uint8) for r in self.roles])
 
 
 def _eligible_layers(net: Network, plan: PruningPlan):
@@ -139,23 +139,20 @@ def _eligible_layers(net: Network, plan: PruningPlan):
     ]
 
 
-def _new_state(net, plan, cfg, method, prune_sets) -> RegState:
+def _new_state(net, plan, cfg, method, roles) -> RegState:
     # the pick selects floor(r_l * n_l) groups per layer whatever the scores
-    counts = group_counts(net, plan.granularity)
-    pick_empty = not any(selection_counts(plan, counts))
+    pick_empty = not any(selection_counts(plan, [len(r) for r in roles]))
     pick, last = _staircase(cfg, method, pick_empty)
-    ramped = any(len(p) for p in prune_sets)
+    ramped = any((r == RAMPED).any() for r in roles)
     return RegState(
         method=method,
         plan=plan,
-        prune_sets=prune_sets,
-        kept_sets=[np.zeros(0, dtype=int) for _ in counts],
+        roles=roles,
         eligible_layers=_eligible_layers(net, plan),
         pick=pick,
         last=last,
         ticks=ramp_length(cfg, method, pick_empty) if ramped else 0,
         k_update=cfg.k_update,
-        _counts=counts,
     )
 
 
@@ -165,24 +162,28 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig,
 
     The set is ``mask``'s pruned groups, or by default the plan's
     smallest-L1 groups. It never changes afterwards, which is what makes
-    same-set comparisons against one-shot pruning meaningful.
+    same-set comparisons against one-shot pruning meaningful. A ``mask``
+    must flag every group of the net.
     """
     validate_plan_against(net.layers, plan)
     if mask is None:
         mask = select_prune_set(group_l1_norms(net, plan.granularity), plan)
-    prune_sets = [np.flatnonzero(f == 0) for f in mask.flags]
-    return _new_state(net, plan, cfg, "greg1", prune_sets)
+    have, counts = [len(f) for f in mask.flags], group_counts(net, plan.granularity)
+    if have != counts:
+        raise DimensionError(f"mask flags {have} groups per layer, the net has {counts}")
+    roles = [np.where(f == 0, RAMPED, BASE) for f in mask.flags]
+    return _new_state(net, plan, cfg, "greg1", roles)
 
 
 def greg2_init(net: Network, plan: PruningPlan, cfg: RegConfig) -> RegState:
     """Picking schedule: start with every prunable group under the ramp."""
     validate_plan_against(net.layers, plan)
     eligible = _eligible_layers(net, plan)
-    prune_sets = [
-        np.arange(n, dtype=int) if l in eligible else np.zeros(0, dtype=int)
+    roles = [
+        np.full(n, RAMPED if l in eligible else BASE)
         for l, n in enumerate(group_counts(net, plan.granularity))
     ]
-    return _new_state(net, plan, cfg, "greg2", prune_sets)
+    return _new_state(net, plan, cfg, "greg2", roles)
 
 
 def _above(value, ceiling):
@@ -249,10 +250,9 @@ def tick(state: RegState, net: Network, cfg: RegConfig) -> np.ndarray:
 
     At boundary ``b <= last`` the penalty is set from ``b`` (see
     :func:`_staircase`); greg2's pick boundary first re-scores the groups
-    by L1 norm, fixes the prune set and puts the kept set on the negated
-    base decay. The factors apply to this tick's weight update: base decay
-    on a group in neither set, the penalty on the prune set, the negated
-    base decay on the kept set. They form one flat vector in
+    by L1 norm, keeps the pruned ones ``RAMPED`` and makes the kept ones
+    ``RECOVERING``. The factors apply to this tick's weight update, each
+    group's from its role. They form one flat vector in
     ``net.flat_w``'s layout, rebuilt at each boundary and kept on the state
     as ``factors``, so every other tick returns the same object. ``net`` is
     read for the pick's L1 scores and its weights' layout.
@@ -265,7 +265,7 @@ def tick(state: RegState, net: Network, cfg: RegConfig) -> np.ndarray:
             _pick(state, net)
         if state.pick is None or b < state.pick:
             state.lam = _ramp_lambda(cfg, b + 1, 0)
-        elif any(len(p) for p in state.prune_sets):  # an empty pick adds no increment
+        elif any((r == RAMPED).any() for r in state.roles):  # an empty pick adds none
             state.lam = _ramp_lambda(cfg, state.pick, b - state.pick + 1)
         state.factors = _factors(state, net, cfg)
     state.iter += 1
@@ -273,21 +273,15 @@ def tick(state: RegState, net: Network, cfg: RegConfig) -> np.ndarray:
 
 
 def _factors(state: RegState, net: Network, cfg: RegConfig) -> np.ndarray:
-    groups = []
-    for n, p, k in zip(state._counts, state.prune_sets, state.kept_sets):
-        arr = np.full(n, cfg.base_decay, dtype=float)
-        arr[p] = state.lam
-        arr[k] = -cfg.base_decay
-        groups.append(arr)
-    return expand_group_values(net, state.granularity, groups)
+    table = np.array([cfg.base_decay, state.lam, -cfg.base_decay], dtype=float)
+    return expand_group_values(net, state.granularity, [table[r] for r in state.roles])
 
 
 def _pick(state: RegState, net: Network):
     """Score by current L1 norms, fix the prune set, start kept recovery."""
     mask = select_prune_set(group_l1_norms(net, state.granularity), state.plan)
     # the plan gives every layer outside eligible_layers ratio 0
-    state.prune_sets = [np.flatnonzero(f == 0) for f in mask.flags]
-    state.kept_sets = [
-        np.flatnonzero(f == 1) if l in state.eligible_layers else np.zeros(0, dtype=int)
+    state.roles = [
+        np.where(f == 0, RAMPED, RECOVERING if l in state.eligible_layers else BASE)
         for l, f in enumerate(mask.flags)
     ]

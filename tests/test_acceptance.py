@@ -261,8 +261,9 @@ def test_c09_weight_separation():
             out[l] = float(spearmanr(np.arange(len(series)), series).statistic)
         return out
 
-    ramp_rhos = rhos(track_separation(exp))
-    control_rhos = rhos(track_separation(exp, control=True))
+    ramp, control = track_separation(exp)
+    ramp_rhos = rhos(ramp)
+    control_rhos = rhos(control)
     ramp_ok = all(r > 0.9 for r in ramp_rhos.values())
     control_ok = all(abs(r) < 0.5 for r in control_rhos.values())
     check(9, "dispersion grows under the ramp, flat without it",

@@ -101,6 +101,16 @@ class TestOracle:
         assert "delta_lambda must be finite" in result.stderr
         assert "Warning" not in result.stderr
 
+    @pytest.mark.parametrize("bump", ["-0.5", "-0.01", "0", "nan", "-inf"])
+    def test_bad_increment_exits_2_before_any_case(self, runner, tmp_path, bump):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["oracle", "--delta-lambda", "0.1",
+                                      "--delta-lambda", bump, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+        assert "delta_lambda must be finite and > 0" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--dim", "1"], ["--dim", "0"], ["--cases", "0"], ["--cases", "-3"],
         ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--seed", "-1"],

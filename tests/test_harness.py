@@ -12,6 +12,7 @@ from growreg.checkpoint import checkpoint_bytes
 from growreg.datasets import load_csv_dataset, make_dataset
 from growreg.errors import (
     ConfigError,
+    DimensionError,
     DomainError,
     NumericError,
     PlanError,
@@ -28,7 +29,7 @@ from growreg.harness import (
     track_separation,
 )
 from growreg.netcore import LayerSpec, Network, accuracy
-from growreg.scheduler import RegConfig
+from growreg.scheduler import RAMPED, RegConfig
 
 QUICK_REG = RegConfig(delta_lambda=5e-3, tau=0.1, tau_prime=0.02, k_update=2,
                       k_stabilize=40, base_decay=5e-4)
@@ -179,6 +180,20 @@ class TestRunMethod:
                            data=data)
         assert rec_a.summary["pruned_hash"] == rec_b.summary["pruned_hash"]
 
+    def test_greg1_rejects_a_mask_short_of_the_nets_groups(self):
+        exp = quick_config(hidden=(8, 6))
+        net = Network.initialize(exp.layers, exp.input_shape, exp.classes, seed=0)
+        before = net.flat_w.copy()
+        # layer 1's flags cover 4 of its 6 filters
+        short = Mask("filter", [np.ones(8, dtype=np.uint8),
+                                np.array([0, 0, 1, 1], dtype=np.uint8),
+                                np.ones(2, dtype=np.uint8)])
+        with pytest.raises(DimensionError, match=r"\[8, 4, 2\].*\[8, 6, 2\]"):
+            scheduler.greg1_init(net, exp.pruning_plan, exp.reg, short)
+        with pytest.raises(DimensionError):
+            run_method(exp, baseline=net, initial_mask=short)
+        assert np.array_equal(net.flat_w, before)
+
     def test_greg1_rows_cover_phases(self):
         rec = run_method(quick_config(metric_every=10))
         phases = {row["phase"] for row in rec.rows}
@@ -310,7 +325,7 @@ class TestSuppressionStats:
         pruned_abs, kept_means = [], []
         for l in state.eligible_layers:
             spec, w = net.layers[l], net.weights[l]
-            prune_set = set(state.prune_sets[l].tolist())
+            prune_set = set(np.flatnonzero(state.roles[l] == RAMPED).tolist())
             for g in range(w.size if granularity == "weight" else spec.units):
                 if granularity == "weight":
                     members = [w.flat[g]]
@@ -426,7 +441,7 @@ class TestFinetune:
 class TestSeparationTracking:
     def test_snapshots_normalized(self):
         exp = quick_config(method="greg2", plan="[0, 0.5, 0]", metric_every=20)
-        rec = track_separation(exp)
+        rec, _ = track_separation(exp)
         assert rec.snapshots
         for _, layer, vec in rec.snapshots:
             assert layer == 1
@@ -435,14 +450,14 @@ class TestSeparationTracking:
 
     def test_control_runs_same_tick_count(self):
         exp = quick_config(method="greg2", plan="[0, 0.5, 0]", metric_every=20)
-        real = track_separation(exp)
-        control = track_separation(exp, control=True)
+        real, control = track_separation(exp)
         assert control.summary["ticks"] == real.summary["ticks"]
+        assert real.summary["mode"] == "greg2"
         assert control.summary["mode"] == "control"
 
     def test_schedule_length_matches_run(self):
         exp = quick_config(method="greg2", plan="[0, 0.5, 0]")
-        assert schedule_length(exp) == track_separation(exp).summary["ticks"]
+        assert schedule_length(exp) == track_separation(exp)[0].summary["ticks"]
 
 
 class TestDeterminism:

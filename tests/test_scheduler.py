@@ -1,4 +1,4 @@
-"""Phase machines: ramp timing, pick event, set bookkeeping, ramp length."""
+"""Phase machines: ramp timing, pick event, group roles, ramp length."""
 
 from itertools import count
 from unittest import mock
@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from conftest import mlp_specs, weight_views
 from growreg import scheduler
 from growreg.errors import DomainError, ScheduleError
-from growreg.groups import Mask, parse_pruning_plan
+from growreg.groups import Mask, group_counts, parse_pruning_plan
 from growreg.netcore import Network
 from growreg.scheduler import (
+    BASE,
     DONE,
     GROWING,
     PICKED,
+    RAMPED,
+    RECOVERING,
     STABILIZING,
     RegConfig,
     greg1_init,
@@ -28,6 +31,11 @@ from growreg.scheduler import (
 
 def dense_net(hidden=(4,), seed=0):
     return Network.initialize(mlp_specs(list(hidden)), (2,), 2, seed=seed)
+
+
+def groups_with(state, role):
+    """Per layer, the indices of the groups holding ``role``."""
+    return [np.flatnonzero(r == role) for r in state.roles]
 
 
 class TestRegConfig:
@@ -64,7 +72,7 @@ class TestFixedSetInit:
         net.weights[0][:] = [[1.0, 4.0, 2.0, 3.0], [1.0, 4.0, 2.0, 3.0]]
         plan = parse_pruning_plan("[0.5, 0]", 2)
         state = greg1_init(net, plan, RegConfig(delta_lambda=0.1, tau=1.0))
-        assert state.prune_sets[0].tolist() == [0, 2]
+        assert state.roles[0].tolist() == [RAMPED, BASE, RAMPED, BASE]
         assert state.phase == GROWING
         assert state.lam == 0.0
 
@@ -75,8 +83,8 @@ class TestFixedSetInit:
         cfg = RegConfig(delta_lambda=0.1, tau=1.0)
         flags = [np.array([1, 0, 1, 0], dtype=np.uint8), np.ones(2, dtype=np.uint8)]
         state = greg1_init(net, plan, cfg, Mask("filter", flags))
-        assert state.prune_sets[0].tolist() == [1, 3]
-        assert state.prune_sets[1].size == 0
+        assert state.roles[0].tolist() == [BASE, RAMPED, BASE, RAMPED]
+        assert state.roles[1].tolist() == [BASE, BASE]
         assert state.phase == GROWING
         keep_all = [np.ones(4, dtype=np.uint8), np.ones(2, dtype=np.uint8)]
         assert greg1_init(net, plan, cfg, Mask("filter", keep_all)).phase == DONE
@@ -88,16 +96,16 @@ class TestPickingInit:
         plan = parse_pruning_plan("[0, 0.5, 0]", 3)
         cfg = RegConfig(delta_lambda=0.01, tau=1.0, tau_prime=0.05)
         state = greg2_init(net, plan, cfg)
-        assert state.prune_sets[1].tolist() == [0, 1, 2, 3]
-        assert all(k.size == 0 for k in state.kept_sets)
+        assert state.roles[1].tolist() == [RAMPED] * 4
+        assert all(k.size == 0 for k in groups_with(state, RECOVERING))
 
     def test_protected_layer_groups_excluded(self):
         net = dense_net(hidden=(5, 4), seed=1)
         plan = parse_pruning_plan("[0, 0.5, 0]", 3)
         cfg = RegConfig(delta_lambda=0.01, tau=1.0, tau_prime=0.05)
         state = greg2_init(net, plan, cfg)
-        assert state.prune_sets[0].size == 0
-        assert state.prune_sets[2].size == 0
+        assert np.all(state.roles[0] == BASE)
+        assert np.all(state.roles[2] == BASE)
 
     def test_tau_prime_required(self):
         net = dense_net()
@@ -111,14 +119,14 @@ class TestPickingInit:
         cfg = RegConfig(delta_lambda=0.01, tau=1.0, tau_prime=0.05, k_update=3)
         state = greg2_init(net, plan, cfg)
         while state.lam <= 0.05:
-            assert all(k.size == 0 for k in state.kept_sets)
+            assert all(k.size == 0 for k in groups_with(state, RECOVERING))
             assert state.phase == GROWING
             tick(state, net, cfg)
         # pick happens at the next boundary after crossing
         while state.phase == GROWING:
             tick(state, net, cfg)
         assert state.phase == PICKED
-        assert sum(k.size for k in state.kept_sets) > 0
+        assert sum(k.size for k in groups_with(state, RECOVERING)) > 0
 
 
 class TestTick:
@@ -193,10 +201,10 @@ class TestTick:
         plan = parse_pruning_plan("[0.5, 0]", 2)
         cfg = RegConfig(delta_lambda=0.05, tau=0.5, k_update=2, k_stabilize=4)
         state = greg1_init(net, plan, cfg)
-        initial = [p.copy() for p in state.prune_sets]
+        initial = [r.copy() for r in state.roles]
         while state.phase != DONE:
             tick(state, net, cfg)
-            assert all(np.array_equal(a, b) for a, b in zip(initial, state.prune_sets))
+            assert all(np.array_equal(a, b) for a, b in zip(initial, state.roles))
 
     def test_kept_groups_hold_negated_decay_until_done(self):
         net = dense_net(hidden=(6,), seed=7)
@@ -210,10 +218,11 @@ class TestTick:
             if state.phase == GROWING:
                 # pre-pick: nothing carries a negative factor
                 assert not (factors < 0).any()
-            if state.kept_sets[0].size:
+            kept = groups_with(state, RECOVERING)[0]
+            if kept.size:
                 saw_picked = True
                 layer0 = weight_views(net, factors)[0]
-                assert np.all(layer0[:, state.kept_sets[0]] == -5e-4)
+                assert np.all(layer0[:, kept] == -5e-4)
         assert saw_picked
 
     def test_tick_after_done_raises(self):
@@ -245,8 +254,42 @@ class TestTick:
         cfg = RegConfig(delta_lambda=0.1, tau=1.0)
         state = greg1_init(net, plan, cfg)
         mask = state.prune_mask()
-        assert np.flatnonzero(mask.flags[0] == 0).tolist() == state.prune_sets[0].tolist()
+        assert (np.flatnonzero(mask.flags[0] == 0).tolist()
+                == groups_with(state, RAMPED)[0].tolist())
         assert np.all(mask.flags[1] == 1)
+
+    @pytest.mark.parametrize("granularity", ["filter", "weight"])
+    def test_prune_mask_digest_is_the_input_masks(self, granularity):
+        net = dense_net(hidden=(5, 4), seed=9)
+        plan = parse_pruning_plan("[0.4, 0.5, 0]", 3, granularity)
+        rng = np.random.default_rng(3)
+        flags = [(rng.random(n) < 0.6).astype(np.uint8)
+                 for n in group_counts(net, granularity)]
+        flags[2][:] = 1
+        mask = Mask(granularity, flags)
+        state = greg1_init(net, plan, RegConfig(delta_lambda=0.1, tau=1.0), mask)
+        assert state.prune_mask().digest() == mask.digest()
+
+    @pytest.mark.parametrize("granularity", ["filter", "weight"])
+    @pytest.mark.parametrize("plan_text", ["[0.3, 0.5, 0, 0]", "[0, 0.5, 0.4, 0]"])
+    def test_pick_splits_eligible_layers_into_ramped_and_recovering(
+            self, granularity, plan_text):
+        net = dense_net(hidden=(5, 4, 3), seed=10)
+        plan = parse_pruning_plan(plan_text, 4, granularity)
+        cfg = RegConfig(delta_lambda=0.01, tau=0.1, tau_prime=0.02, k_update=2)
+        state = greg2_init(net, plan, cfg)
+        while state.iter <= state.pick * cfg.k_update:
+            tick(state, net, cfg)
+        assert state.phase == PICKED
+        counts = group_counts(net, granularity)
+        for l, (roles, n, r) in enumerate(zip(state.roles, counts, plan.ratios)):
+            assert len(roles) == n
+            if l in state.eligible_layers:
+                k = int(np.floor(r * n))
+                assert (roles == RAMPED).sum() == k
+                assert (roles == RECOVERING).sum() == n - k
+            else:
+                assert np.all(roles == BASE)
 
 
 @st.composite
@@ -293,7 +336,7 @@ class TestRampLength:
                                                          cfg.tau_prime))
                 assert above(first * cfg.delta_lambda, cfg.tau)
                 return
-        if not any(len(p) for p in state.prune_sets):
+        if not any(p.size for p in groups_with(state, RAMPED)):
             # greg1 with an empty set has no ramp at all
             assert state.phase == DONE and state.ticks == 0
             return
@@ -307,7 +350,7 @@ class TestRampLength:
             tick(state, net, cfg)
             ticks += 1
             if boundary:
-                kept = sum(k.size for k in state.kept_sets)
+                kept = sum(k.size for k in groups_with(state, RECOVERING))
                 rows.append((lam_in, state.lam, state.phase, kept))
             else:
                 assert state.lam == lam_in
@@ -318,7 +361,7 @@ class TestRampLength:
             pick = next(b for b, r in enumerate(rows) if r[3])
             assert pick == next(b for b, r in enumerate(rows)
                                 if above(r[0], cfg.tau_prime))
-            pick_empty = not any(len(p) for p in state.prune_sets)
+            pick_empty = not any(p.size for p in groups_with(state, RAMPED))
         else:
             assert not any(r[3] for r in rows)
         if pick_empty:
@@ -347,15 +390,21 @@ class TestRampLength:
 
 def expected_factors(state, net, cfg):
     """Per-weight factors of each layer written out group by group: base
-    decay, the ramped penalty on the prune set, the negated base decay on
-    the kept set."""
+    decay on a BASE group, the ramped penalty on a RAMPED one, the negated
+    base decay on a RECOVERING one."""
     out = []
     for l, w in enumerate(net.weights):
-        want = np.full(w.shape, cfg.base_decay)
+        want = np.full(w.shape, np.nan)
         # a view whose first axis indexes the layer's groups
         groups = want.reshape(-1) if state.granularity == "weight" else want.T
-        groups[state.prune_sets[l]] = state.lam
-        groups[state.kept_sets[l]] = -cfg.base_decay
+        assert len(state.roles[l]) == len(groups)
+        for g, role in enumerate(state.roles[l]):
+            if role == BASE:
+                groups[g] = cfg.base_decay
+            elif role == RAMPED:
+                groups[g] = state.lam
+            elif role == RECOVERING:
+                groups[g] = -cfg.base_decay
         out.append(want)
     return out
 
