@@ -11,11 +11,12 @@ Layout (all integers little-endian):
 A checkpoint holds a network and nothing else: no command resumes a run
 mid-ramp, so optimizer velocities and schedule state are not stored. The
 header lists the topology (input shape, class count, layer specs), the
-blob directory (name, shape, dtype string) and the indices of layers
-carrying frozen-weight masks. Blobs are ``<f8`` for weights and biases and
-``|u1`` for frozen masks. Identical networks produce byte-identical files.
-Version 1 files, which could also carry velocities and a schedule-state
-document, are rejected.
+indices of layers carrying frozen-weight masks, and the blob directory
+(name, shape, dtype string) that topology implies: ``w{l}`` and ``b{l}``
+per layer, ``<f8``, then ``fz{l}`` per frozen layer, ``|u1``. A loaded
+directory must be exactly that one, in file order. Identical networks
+produce byte-identical files. Version 1 files, which could also carry
+velocities and a schedule-state document, are rejected.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .netcore import LayerSpec, Network
+from .config import LAYER_KEYS, field, ints, parse_layers
+from .errors import ConfigError, DimensionError, InputError
+from .netcore import Network, layer_shapes
 
 MAGIC = b"GREGCKPT"
 VERSION = 2
@@ -38,32 +40,33 @@ def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def checkpoint_bytes(net: Network) -> bytes:
+def _blobs(layers, input_shape, frozen_layers):
+    """The blob directory a topology implies, in file order."""
     blobs = []
+    for l, (spec, (_, w_shape)) in enumerate(zip(layers, layer_shapes(layers, input_shape))):
+        blobs.append({"name": f"w{l}", "shape": list(w_shape), "dtype": "<f8"})
+        blobs.append({"name": f"b{l}", "shape": [spec.units], "dtype": "<f8"})
+    blobs.extend({"name": f"fz{l}", "shape": blobs[2 * l]["shape"], "dtype": "|u1"}
+                 for l in frozen_layers)
+    return blobs
 
-    def add(name, arr, dtype):
-        blobs.append((name, np.ascontiguousarray(arr, dtype=dtype)))
 
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        add(f"w{l}", w, "<f8")
-        add(f"b{l}", b, "<f8")
+def checkpoint_bytes(net: Network) -> bytes:
     frozen_layers = [l for l, m in enumerate(net.frozen) if m is not None]
-    for l in frozen_layers:
-        add(f"fz{l}", net.frozen[l], "|u1")
-
+    blobs = _blobs(net.layers, net.input_shape, frozen_layers)
+    arrays = [a for pair in zip(net.weights, net.biases) for a in pair]
+    arrays += [net.frozen[l] for l in frozen_layers]
     header = {
         "input_shape": list(net.input_shape),
         "classes": net.classes,
         "layers": [asdict(s) for s in net.layers],
-        "blobs": [
-            {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
-            for name, arr in blobs
-        ],
+        "blobs": blobs,
         "frozen_layers": frozen_layers,
     }
     head = _canonical(header)
     parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(head)), head]
-    parts.extend(arr.tobytes() for _, arr in blobs)
+    parts.extend(np.ascontiguousarray(a, dtype=blob["dtype"]).tobytes()
+                 for a, blob in zip(arrays, blobs))
     return b"".join(parts)
 
 
@@ -74,68 +77,30 @@ def save_checkpoint(path, net: Network):
     return data
 
 
-def _field(doc, key, kind, where):
-    """``doc[key]``, rejected unless it is present and of ``kind``.
-
-    ``kind`` is a type or tuple of types; JSON booleans never pass for
-    numbers.
-    """
-    if not isinstance(doc, dict) or key not in doc:
-        raise ConfigError(f"{where} lacks {key!r}")
-    val = doc[key]
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
-        names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-        raise ConfigError(f"{where}: {key!r} is {val!r}, expected {names}")
-    return val
-
-
-def _ints(doc, key, where):
-    """``doc[key]`` as a list of non-negative ints."""
-    vals = _field(doc, key, list, where)
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in vals):
-        raise ConfigError(f"{where}: {key!r} is {vals!r}, expected non-negative ints")
-    return vals
-
-
 def _parse_header(text, path):
-    """Decode and type-check the JSON header; returns the checked document."""
+    """The checked header, its layer specs and the blob directory they imply."""
     try:
         header = json.loads(text.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON, an int past Python's digit limit
         raise ConfigError(f"{path}: unreadable checkpoint header ({exc})") from exc
     where = f"{path}: checkpoint header"
-    _ints(header, "input_shape", where)
-    _field(header, "classes", int, where)
-    for l, spec in enumerate(_field(header, "layers", list, where)):
-        at = f"{where} layer {l}"
-        _field(spec, "kind", str, at)
-        _field(spec, "units", int, at)
-        if _field(spec, "kernel", (list, type(None)), at) is not None:
-            _ints(spec, "kernel", at)
-        _field(spec, "activation", str, at)
-        _field(spec, "prunable", bool, at)
-    for i, blob in enumerate(_field(header, "blobs", list, where)):
-        at = f"{where} blob {i}"
-        _field(blob, "name", str, at)
-        _ints(blob, "shape", at)
-        _field(blob, "dtype", str, at)
-    n_layers = len(header["layers"])
-    frozen = _ints(header, "frozen_layers", where)
-    if any(l >= n_layers for l in frozen):
-        raise ConfigError(f"{where}: frozen_layers {frozen} outside {n_layers} layers")
-
-    expected = {}
-    for l in range(n_layers):
-        expected.update({f"w{l}": "<f8", f"b{l}": "<f8"})
-    expected.update((f"fz{l}", "|u1") for l in frozen)
-    found = [(blob["name"], blob["dtype"]) for blob in header["blobs"]]
-    if sorted(found) != sorted(expected.items()):
-        raise ConfigError(
-            f"{where}: blobs {found} do not match the declared layers, "
-            f"expected {sorted(expected.items())}"
-        )
-    return header
+    input_shape = ints(header, "input_shape", where)
+    field(header, "classes", int, where)
+    layers = parse_layers(field(header, "layers", list, where), f"{where}.layers",
+                          LAYER_KEYS)
+    frozen = ints(header, "frozen_layers", where)
+    if frozen != sorted(set(frozen)) or any(l >= len(layers) for l in frozen):
+        raise ConfigError(f"{where}: frozen_layers {frozen} are not strictly "
+                          f"increasing indices of the {len(layers)} layers")
+    try:
+        blobs = _blobs(layers, input_shape, frozen)
+    except DimensionError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    # compared as JSON text, so a shape of 2.0 or true does not pass for 2 or 1
+    if _canonical(header.get("blobs")) != _canonical(blobs):
+        raise ConfigError(f"{where}: blobs {header.get('blobs')} do not match the "
+                          f"declared layers, expected {blobs}")
+    return header, layers, blobs
 
 
 def load_checkpoint(path):
@@ -166,41 +131,28 @@ def load_checkpoint(path):
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<Q", raw[12:20])
     need(20 + hlen, "the JSON header")
-    header = _parse_header(raw[20 : 20 + hlen], path)
+    header, layers, blobs = _parse_header(raw[20 : 20 + hlen], path)
     offset = 20 + hlen
-    arrays = {}
-    for blob in header["blobs"]:
+    arrays = []
+    for blob in blobs:
         dt = np.dtype(blob["dtype"])
         count = math.prod(blob["shape"])
-        nbytes = count * dt.itemsize
-        need(offset + nbytes, f"blob {blob['name']}")
+        need(offset + count * dt.itemsize, f"blob {blob['name']}")
         arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
         if dt.kind == "f" and not np.all(np.isfinite(arr)):
             raise ConfigError(f"{path}: blob {blob['name']} holds non-finite values")
-        arrays[blob["name"]] = arr.reshape(blob["shape"])
-        offset += nbytes
+        arrays.append(arr.reshape(blob["shape"]))
+        offset += arr.nbytes
     if offset != len(raw):
         raise ConfigError(f"{path}: trailing bytes after declared blobs")
 
-    n_layers = len(header["layers"])
-    frozen = [None] * n_layers
-    for l in header["frozen_layers"]:
-        frozen[l] = arrays[f"fz{l}"].astype(bool)
+    n = len(layers)
+    frozen = [None] * n
+    for l, mask in zip(header["frozen_layers"], arrays[2 * n :]):
+        frozen[l] = mask.astype(bool)
     try:
-        specs = [
-            LayerSpec(
-                kind=s["kind"],
-                units=s["units"],
-                kernel=tuple(s["kernel"]) if s["kernel"] else None,
-                activation=s["activation"],
-                prunable=s["prunable"],
-            )
-            for s in header["layers"]
-        ]
-        weights = [arrays[f"w{l}"] for l in range(n_layers)]
-        biases = [arrays[f"b{l}"] for l in range(n_layers)]
-        net = Network(specs, header["input_shape"], header["classes"], weights,
-                      biases, frozen)
+        net = Network(layers, header["input_shape"], header["classes"],
+                      arrays[0 : 2 * n : 2], arrays[1 : 2 * n : 2], frozen)
     except InputError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return net, None, None

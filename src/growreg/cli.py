@@ -22,7 +22,7 @@ from . import quadratic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PRESETS, load_config
 from .errors import ConfigError, GrowRegError, InputError
-from .harness import build_dataset, compare_schedules, pretrain, run_method
+from .harness import build_dataset, compare_schedules, csv_text, pretrain, run_method
 from .netcore import accuracy
 
 EXIT_INPUT = 2
@@ -49,6 +49,14 @@ def _out_dir(out, default_name):
     root = os.environ.get("GROWREG_OUT_ROOT", "runs")
     path = out if out else os.path.join(root, default_name)
     os.makedirs(path, exist_ok=True)
+    return path
+
+
+def _write(out_dir, name, text):
+    """Write one artifact file into ``out_dir``; returns its path."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        fh.write(text)
     return path
 
 
@@ -115,6 +123,9 @@ def oracle(dim, cases, seed, deltas, tol, hessian_file, wstar_file, exact_vs_app
         if exact_vs_approx and len(h) != 2:
             raise ConfigError("--exact-vs-approx needs a 2x2 Hessian")
         w = _load_text(wstar_file, 1) if wstar_file else np.ones(len(h))
+        if exact_vs_approx and np.any(w == 0):
+            raise ConfigError(f"--exact-vs-approx needs a w* without zeros, "
+                              f"{wstar_file} holds {w.tolist()}")
         models.append(quadratic.QuadraticModel(hessian=h, w_star=w))
     else:
         for _ in range(cases):
@@ -122,7 +133,7 @@ def oracle(dim, cases, seed, deltas, tol, hessian_file, wstar_file, exact_vs_app
             models.append(quadratic.random_psd_model(rng, d))
     out_dir = _out_dir(out, "oracle")
 
-    rows = ["case,dim,delta_lambda,residual_inf"]
+    rows = [["case", "dim", "delta_lambda", "residual_inf"]]
     worst = 0.0
     for i, model in enumerate(models):
         for delta in deltas:
@@ -133,26 +144,18 @@ def oracle(dim, cases, seed, deltas, tol, hessian_file, wstar_file, exact_vs_app
             )
             residual = float(np.max(np.abs(closed - gd)))
             worst = max(worst, residual)
-            rows.append(f"{i},{model.dim},{delta!r},{residual!r}")
-    report_path = os.path.join(out_dir, "oracle_report.csv")
-    with open(report_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+            rows.append([i, model.dim, delta, residual])
+    report_path = _write(out_dir, "oracle_report.csv", csv_text(rows))
 
     if exact_vs_approx:
-        lines = ["case,delta_lambda,r1_approx,r2_approx,r1_exact,r2_exact,gap1,gap2"]
+        rows = [["case", "delta_lambda", "r1_approx", "r2_approx", "r1_exact",
+                 "r2_exact", "gap1", "gap2"]]
         for i, model in enumerate(models):
-            w = model.w_star
-            if np.any(w == 0):
-                model = quadratic.QuadraticModel(model.hessian, np.ones(2))
             for delta in deltas:
                 a1, a2 = quadratic.two_d_ratios(model, delta)
                 e1, e2 = quadratic.two_d_ratios_exact(model, delta)
-                vals = [a1, a2, e1, e2, abs(a1 - e1), abs(a2 - e2)]
-                lines.append(
-                    f"{i},{delta!r}," + ",".join(repr(float(v)) for v in vals)
-                )
-        with open(os.path.join(out_dir, "exact_vs_approx.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+                rows.append([i, delta, a1, a2, e1, e2, abs(a1 - e1), abs(a2 - e2)])
+        _write(out_dir, "exact_vs_approx.csv", csv_text(rows))
 
     click.echo(f"oracle: {len(models)} case(s), max residual {worst:.3e} "
                f"(tol {tol:g}), report {report_path}")
@@ -204,13 +207,10 @@ def run_cmd(config, seed, preset, k_update, baseline, out):
     _copy_config(config, out_dir)
     base_net = load_checkpoint(baseline)[0] if baseline else None
     record = run_method(exp, baseline=base_net)
-    with open(os.path.join(out_dir, "record.csv"), "w") as fh:
-        fh.write(record.record_csv())
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write(record.summary_csv())
+    _write(out_dir, "record.csv", record.record_csv())
+    _write(out_dir, "summary.csv", record.summary_csv())
     if record.snapshots:
-        with open(os.path.join(out_dir, "norm_snapshots.csv"), "w") as fh:
-            fh.write(record.snapshots_csv())
+        _write(out_dir, "norm_snapshots.csv", record.snapshots_csv())
     s = record.summary
     click.echo(
         f"run: method={s['method']} seed={s['seed']} sparsity={s['sparsity']:.4f} "
@@ -235,13 +235,33 @@ def compare_cmd(config, seeds, kind, preset, k_update, out):
     out_dir = _out_dir(out, f"compare_{kind}" + (f"_ku{k_update}" if k_update else ""))
     _copy_config(config, out_dir)
     result = compare_schedules(exp, n_seeds=seeds, kind=kind)
-    with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
-        fh.write(result.table_csv())
+    _write(out_dir, "comparison.csv", result.table_csv())
     for method, (mean, std) in result.aggregates.items():
         click.echo(f"compare[{kind}]: {method} final acc {mean:.4f} +/- {std:.4f}")
 
 
 # -- report -------------------------------------------------------------------
+
+
+def _read_table(path, required):
+    """A CSV artifact's header and rows, checked before anything is written:
+    readable UTF-8, a header holding ``required``, rows as long as it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise ConfigError(f"{path}: empty file, expected a header row")
+    header, *rows = (ln.split(",") for ln in lines)
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: header lacks {missing}")
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {i} has {len(row)} fields, the header "
+                              f"{len(header)}")
+    return header, rows
 
 
 @main.command("report")
@@ -254,40 +274,35 @@ def report_cmd(run_dir, out):
     record_path = os.path.join(run_dir, "record.csv")
     if not os.path.exists(record_path):
         raise ConfigError(f"{run_dir}: no record.csv found")
+    metrics = ["lambda", "train_loss", "val_acc"]
+    header, body = _read_table(record_path, ["iter", *metrics])
+    snap_path = os.path.join(run_dir, "norm_snapshots.csv")
+    snaps = None
+    if os.path.exists(snap_path):
+        snap_header, snap_rows = _read_table(snap_path, ["iter"])
+        col = snap_header.index("iter")
+        try:
+            iters = [int(r[col]) for r in snap_rows]
+        except ValueError as exc:
+            raise ConfigError(f"{snap_path}: iter column holds a non-integer ({exc})") from exc
+        steps = sorted(set(iters))
+        picks = {steps[0], steps[len(steps) // 2], steps[-1]} if steps else set()
+        snaps = [snap_header] + [r for r, it in zip(snap_rows, iters) if it in picks]
+
     out_dir = out or run_dir
     os.makedirs(out_dir, exist_ok=True)
-    with open(record_path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{record_path}: empty file, expected a header row")
-    header = lines[0].split(",")
-    body = [ln.split(",") for ln in lines[1:]]
-    series_path = os.path.join(out_dir, "report_series.csv")
-    out_lines = ["iter,layer,metric,value"]
+    series = [["iter", "layer", "metric", "value"]]
     for row in body:
         vals = dict(zip(header, row))
-        it = vals["iter"]
-        for metric in ("lambda", "train_loss", "val_acc"):
-            out_lines.append(f"{it},,{metric},{vals[metric]}")
-        for col in header:
-            if col.startswith("disp_l"):
-                out_lines.append(f"{it},{col[6:]},dispersion,{vals[col]}")
-    with open(series_path, "w") as fh:
-        fh.write("\n".join(out_lines) + "\n")
+        series += [[vals["iter"], "", m, vals[m]] for m in metrics]
+        series += [[vals["iter"], c[6:], "dispersion", vals[c]]
+                   for c in header if c.startswith("disp_l")]
+    series_path = _write(out_dir, "report_series.csv", csv_text(series))
     if not body:
         click.echo("warning: record has no checkpoint rows; empty report written",
                    err=True)
-
-    snap_path = os.path.join(run_dir, "norm_snapshots.csv")
-    if os.path.exists(snap_path):
-        with open(snap_path) as fh:
-            snap_lines = [ln.strip() for ln in fh if ln.strip()]
-        rows = [ln.split(",") for ln in snap_lines[1:]]
-        iters = sorted({int(r[0]) for r in rows})
-        picks = {iters[0], iters[len(iters) // 2], iters[-1]} if iters else set()
-        out_snap = [snap_lines[0]] + [",".join(r) for r in rows if int(r[0]) in picks]
-        with open(os.path.join(out_dir, "report_snapshots.csv"), "w") as fh:
-            fh.write("\n".join(out_snap) + "\n")
+    if snaps is not None:
+        _write(out_dir, "report_snapshots.csv", csv_text(snaps))
     click.echo(f"report: wrote {series_path}")
 
 

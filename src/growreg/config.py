@@ -7,6 +7,8 @@ values and non-finite numbers are rejected, naming the field path. A
 override it; a preset passed to :func:`load_config` replaces the
 document's key. ``desk`` finishes in minutes on toy nets, ``paper`` carries
 the reference constants (very long ramps; documented, not meant for CI).
+The JSON checks (:func:`field`, :func:`ints`, :func:`parse_layers`) also
+serve checkpoint headers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import os
 import sys
 
-from .checkpoint import _field, _ints
 from .errors import ConfigError, InputError
 from .harness import ExperimentConfig, PhaseSchedule
 from .netcore import LayerSpec
@@ -57,7 +58,7 @@ _EXP_OPTIONAL = {
 }
 _EXP_KEYS = _EXP_REQUIRED | _EXP_OPTIONAL | {"reg"}
 _NET_KEYS = {"input_shape", "classes", "layers"}
-_LAYER_KEYS = {"kind", "units", "kernel", "activation", "prunable"}
+LAYER_KEYS = {"kind", "units", "kernel", "activation", "prunable"}
 _PHASE_KEYS = {"steps", "batch_size", "milestones", "momentum"}
 _REG_KEYS = {
     "delta_lambda",
@@ -93,6 +94,30 @@ _TYPES = {
 }
 
 
+def field(doc, key, kind, where):
+    """``doc[key]``, rejected unless it is present and of ``kind``.
+
+    ``kind`` is a type or tuple of types; JSON booleans never pass for
+    numbers.
+    """
+    if not isinstance(doc, dict) or key not in doc:
+        raise ConfigError(f"{where} lacks {key!r}")
+    val = doc[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(val, kinds) or (isinstance(val, bool) and bool not in kinds):
+        names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ConfigError(f"{where}: {key!r} is {val!r}, expected {names}")
+    return val
+
+
+def ints(doc, key, where):
+    """``doc[key]`` as a list of non-negative ints."""
+    vals = field(doc, key, list, where)
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in vals):
+        raise ConfigError(f"{where}: {key!r} is {vals!r}, expected non-negative ints")
+    return vals
+
+
 def _check_keys(doc, allowed, required, where):
     """Reject a non-object, unknown or missing keys, and mistyped values."""
     if not isinstance(doc, dict):
@@ -104,7 +129,7 @@ def _check_keys(doc, allowed, required, where):
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
     for key in doc:
-        val = _field(doc, key, _TYPES[key], where)
+        val = field(doc, key, _TYPES[key], where)
         if _TYPES[key] is not int and type(val) in _NUMBER:
             _finite(val, f"{where}.{key}")
 
@@ -116,17 +141,19 @@ def _finite(val, where):
         raise ConfigError(f"{where}: expected a finite number, got {shown}")
 
 
-def _layers_from(doc):
+def parse_layers(docs, where, required):
+    """``LayerSpec``s from a list of layer documents, each holding the keys in
+    ``required`` and no key outside ``LAYER_KEYS``; errors name ``where[i]``."""
     specs = []
-    for i, entry in enumerate(doc):
-        where = f"experiment.net.layers[{i}]"
-        _check_keys(entry, _LAYER_KEYS, {"kind", "units"}, where)
+    for i, entry in enumerate(docs):
+        at = f"{where}[{i}]"
+        _check_keys(entry, LAYER_KEYS, required, at)
         if entry.get("kernel"):
-            _ints(entry, "kernel", where)
+            ints(entry, "kernel", at)
         try:
             specs.append(LayerSpec(**entry))
         except InputError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            raise ConfigError(f"{at}: {exc}") from exc
     return tuple(specs)
 
 
@@ -174,11 +201,11 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
 
     net = exp["net"]
     _check_keys(net, _NET_KEYS, _NET_KEYS, "experiment.net")
-    input_shape = tuple(_ints(net, "input_shape", "experiment.net"))
-    layers = _layers_from(net["layers"])
+    input_shape = tuple(ints(net, "input_shape", "experiment.net"))
+    layers = parse_layers(net["layers"], "experiment.net.layers", {"kind", "units"})
 
     ds = exp["dataset"]
-    kind = _field(ds, "kind", str, "experiment.dataset")
+    kind = field(ds, "kind", str, "experiment.dataset")
     if kind not in _DATASET_KEYS:
         raise ConfigError(
             f"experiment.dataset.kind: must be one of {sorted(_DATASET_KEYS)}"

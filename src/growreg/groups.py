@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, DomainError, PlanError, StructureError
-from .netcore import Network
+from .netcore import Network, layer_shapes
 
 GRANULARITIES = ("filter", "weight")
 
@@ -316,7 +316,7 @@ def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Netwo
             out.frozen[l] = np.delete(out.frozen[l], idx, axis=axis)
 
     specs = list(out.layers)
-    shapes = net._layer_input_shapes
+    shapes = layer_shapes(net.layers, net.input_shape)
     for l, flags in enumerate(mask.flags):
         removed = np.flatnonzero(flags == 0)
         if removed.size == 0:
@@ -339,7 +339,7 @@ def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Netwo
             if spec.kind == "dense":
                 rows = removed
             else:
-                block = int(np.prod(shapes[l + 1][1:]))
+                block = int(np.prod(shapes[l + 1][0][1:]))
                 rows = (removed[:, None] * block + np.arange(block)[None, :]).ravel()
             cut(l + 1, rows, 0)
     try:

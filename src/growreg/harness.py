@@ -143,34 +143,27 @@ class ExperimentRecord:
     n_layers: int = 0
 
     def record_csv(self) -> str:
-        cols = ["iter", "phase", "lambda", "train_loss", "val_acc"] + [
-            f"disp_l{l}" for l in range(self.n_layers)
-        ]
-        lines = [",".join(cols)]
-        for row in self.rows:
-            vals = [str(row["iter"]), row["phase"], _f(row["lambda"]),
-                    _f(row["train_loss"]), _f(row["val_acc"])]
-            vals += [_f(d) for d in row["dispersions"]]
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
+        cols = ["iter", "phase", "lambda", "train_loss", "val_acc"]
+        disp = [f"disp_l{l}" for l in range(self.n_layers)]
+        return csv_text([cols + disp] + [[row[c] for c in cols] + row["dispersions"]
+                                         for row in self.rows])
 
     def snapshots_csv(self) -> str:
-        lines = ["iter,layer,group,value"]
-        for it, layer, vec in self.snapshots:
-            for g, v in enumerate(vec):
-                lines.append(f"{it},{layer},{g},{_f(v)}")
-        return "\n".join(lines) + "\n"
+        return csv_text([["iter", "layer", "group", "value"]]
+                        + [[it, layer, g, v] for it, layer, vec in self.snapshots
+                           for g, v in enumerate(vec)])
 
     def summary_csv(self) -> str:
-        keys = list(self.summary)
-        vals = [
-            _f(v) if isinstance(v, float) else str(v) for v in self.summary.values()
-        ]
-        return ",".join(keys) + "\n" + ",".join(vals) + "\n"
+        return csv_text([list(self.summary), list(self.summary.values())])
 
 
-def _f(x) -> str:
-    return repr(float(x))
+def csv_text(rows) -> str:
+    """Rows joined as CSV lines: a float as ``repr(float(v))``, anything else
+    as ``str(v)``, so equal values always give equal bytes."""
+    return "".join([
+        ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row]) + "\n"
+        for row in rows
+    ])
 
 
 def build_dataset(exp: ExperimentConfig, seed_shift: int = 0) -> Dataset:
@@ -235,7 +228,7 @@ def _metric_row(record, it, phase, lam, loss, net, data, granularity):
         {
             "iter": it,
             "phase": phase,
-            "lambda": lam,
+            "lambda": float(lam),  # an int ramp constant still renders as a float
             "train_loss": loss,
             "val_acc": accuracy(net, data.val_x, data.val_y),
             "dispersions": _dispersions(net, granularity),
@@ -393,15 +386,11 @@ class ComparisonResult:
     aggregates: dict
 
     def table_csv(self) -> str:
-        lines = ["seed,method,post_finetune_acc,pruned_hash"]
-        for row in self.per_seed:
-            lines.append(
-                f"{row['seed']},{row['method']},{_f(row['post_finetune_acc'])},{row['pruned_hash']}"
-            )
-        lines.append("method,mean,std,,")
-        for method, (mean, std) in self.aggregates.items():
-            lines.append(f"{method},{_f(mean)},{_f(std)},,")
-        return "\n".join(lines) + "\n"
+        cols = ["seed", "method", "post_finetune_acc", "pruned_hash"]
+        return csv_text([cols] + [[row[c] for c in cols] for row in self.per_seed]
+                        + [["method", "mean", "std", "", ""]]
+                        + [[method, mean, std, "", ""]
+                           for method, (mean, std) in self.aggregates.items()])
 
 
 def compare_schedules(exp: ExperimentConfig, n_seeds: int, kind: str = "l1") -> ComparisonResult:

@@ -26,6 +26,7 @@ nobody is mutating are safe to run from anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,31 +168,19 @@ class Network:
     def initialize(cls, layers, input_shape, classes, seed=0):
         """He-style fan-in init with a seeded generator; biases start at zero."""
         rng = np.random.default_rng(seed)
-        shapes = _infer_shapes(layers, input_shape)
         weights, biases = [], []
-        for spec, in_shape in zip(layers, shapes):
-            if spec.kind == "dense":
-                fan_in = int(np.prod(in_shape))
-                w_shape = (fan_in, spec.units)
-            else:
-                c = in_shape[0]
-                fan_in = c * spec.kernel[0] * spec.kernel[1]
-                w_shape = (spec.units, c, *spec.kernel)
-            scale = np.sqrt(2.0 / fan_in)
-            weights.append(rng.standard_normal(w_shape) * scale)
+        for spec, (_, w_shape) in zip(layers, layer_shapes(layers, input_shape)):
+            fan_in = math.prod(w_shape) // spec.units
+            weights.append(rng.standard_normal(w_shape) * np.sqrt(2.0 / fan_in))
             biases.append(np.zeros(spec.units))
         return cls(layers, input_shape, classes, weights, biases)
 
     def _validate(self):
         if not self.layers:
             raise DimensionError("network needs at least one layer")
-        shapes = _infer_shapes(self.layers, self.input_shape)
-        for l, (spec, in_shape) in enumerate(zip(self.layers, shapes)):
+        shapes = layer_shapes(self.layers, self.input_shape)
+        for l, (spec, (_, expect)) in enumerate(zip(self.layers, shapes)):
             w, b = self.weights[l], self.biases[l]
-            if spec.kind == "dense":
-                expect = (int(np.prod(in_shape)), spec.units)
-            else:
-                expect = (spec.units, in_shape[0], *spec.kernel)
             if w.shape != expect:
                 raise DimensionError(
                     f"layer {l} weight shape {w.shape}, expected {expect}"
@@ -209,7 +198,7 @@ class Network:
             raise DimensionError(
                 f"final layer has {last.units} units for {self.classes} classes"
             )
-        self._layer_input_shapes = shapes
+        self._layer_input_shapes = [in_shape for in_shape, _ in shapes]
 
     # -- conveniences ------------------------------------------------------
 
@@ -228,14 +217,14 @@ class Network:
         return int(self.flat_w.size)
 
 
-def _infer_shapes(layers, input_shape):
-    """Per-layer input shapes; raises on incompatible chains."""
+def layer_shapes(layers, input_shape):
+    """Each layer's ``(input shape, weight shape)``; raises on incompatible chains."""
     shapes = []
     current = tuple(input_shape)
     for l, spec in enumerate(layers):
-        shapes.append(current)
         if spec.kind == "dense":
-            current = (spec.units,)
+            w_shape = (math.prod(current), spec.units)
+            out = (spec.units,)
         else:
             if len(current) != 3:
                 raise DimensionError(
@@ -248,7 +237,10 @@ def _infer_shapes(layers, input_shape):
                 raise DimensionError(
                     f"conv2d layer {l}: kernel {spec.kernel} larger than input {current}"
                 )
-            current = (spec.units, oh, ow)
+            w_shape = (spec.units, c, kh, kw)
+            out = (spec.units, oh, ow)
+        shapes.append((current, w_shape))
+        current = out
     return shapes
 
 

@@ -186,3 +186,85 @@ def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
     # exactly the flips that set a value's exponent to all ones
     assert rejected == sum(arr.size for arr in floats)
 
+
+
+def rewrite(raw, edit, blobs=None):
+    """``raw`` with its JSON header passed through ``edit`` and, when given,
+    its blob data replaced by ``blobs``."""
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20 : 20 + hlen])
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    data = raw[20 + hlen :] if blobs is None else blobs
+    return raw[:12] + struct.pack("<Q", len(head)) + head + data
+
+
+def blob_data(raw):
+    """Each blob's bytes by name, in file order."""
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    out, start = {}, 20 + hlen
+    for blob in json.loads(raw[20:start])["blobs"]:
+        size = int(np.prod(blob["shape"])) * np.dtype(blob["dtype"]).itemsize
+        out[blob["name"]] = raw[start : start + size]
+        start += size
+    return out
+
+
+def frozen_net(seed, frozen_layers):
+    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=seed)
+    for l in frozen_layers:
+        net.frozen[l] = np.zeros_like(net.weights[l], dtype=bool)
+    return net
+
+
+def test_consistently_reordered_directory_rejected(tmp_path):
+    # every blob still sits where the directory says, but not in the order
+    # the topology implies
+    raw = checkpoint_bytes(frozen_net(21, [0]))
+    data = blob_data(raw)
+    order = ["b0", "w0", "w1", "b1", "fz0"]
+
+    def reorder(header):
+        by_name = {b["name"]: b for b in header["blobs"]}
+        header["blobs"] = [by_name[n] for n in order]
+
+    path = tmp_path / "order.ckpt"
+    path.write_bytes(rewrite(raw, reorder, b"".join(data[n] for n in order)))
+    with pytest.raises(ConfigError, match="order.ckpt: checkpoint header: blobs "):
+        load_checkpoint(path)
+
+
+def test_directory_entry_with_extra_key_rejected(tmp_path):
+    raw = checkpoint_bytes(frozen_net(22, []))
+    path = tmp_path / "extra.ckpt"
+    path.write_bytes(rewrite(raw, lambda h: h["blobs"][0].update(offset=0)))
+    with pytest.raises(ConfigError, match="extra.ckpt: checkpoint header: blobs "):
+        load_checkpoint(path)
+
+
+def test_header_layer_with_extra_key_rejected(tmp_path):
+    raw = checkpoint_bytes(frozen_net(23, []))
+    path = tmp_path / "layer.ckpt"
+    path.write_bytes(rewrite(raw, lambda h: h["layers"][1].update(bias=True)))
+    with pytest.raises(ConfigError, match=r"layer.ckpt: .*layers\[1\]: unknown keys \['bias'\]"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("frozen", [[1, 0], [0, 0]])
+def test_frozen_layers_not_strictly_increasing_rejected(tmp_path, frozen):
+    # the directory and the data list each frozen layer's mask once, in
+    # the listed order
+    listed = list(dict.fromkeys(frozen))
+    raw = checkpoint_bytes(frozen_net(24, listed))
+    data = blob_data(raw)
+    names = ["w0", "b0", "w1", "b1"] + [f"fz{l}" for l in listed]
+
+    def relist(header):
+        by_name = {b["name"]: b for b in header["blobs"]}
+        header["frozen_layers"] = frozen
+        header["blobs"] = [by_name[n] for n in names]
+
+    path = tmp_path / "fz.ckpt"
+    path.write_bytes(rewrite(raw, relist, b"".join(data[n] for n in names)))
+    with pytest.raises(ConfigError, match=r"fz.ckpt: checkpoint header: frozen_layers \["):
+        load_checkpoint(path)

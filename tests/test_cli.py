@@ -140,6 +140,21 @@ class TestOracle:
         assert result.output.startswith(message.format(tmp=tmp_path))
         assert not out.exists()
 
+    def test_exact_vs_approx_rejects_zero_in_wstar(self, runner, tmp_path):
+        # the exact ratios divide by w*, so a zero entry cannot be tabulated
+        h = tmp_path / "h.txt"
+        np.savetxt(h, np.array([[2.0, 0.5], [0.5, 1.0]]))
+        w = tmp_path / "w.txt"
+        w.write_text("1 0\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["oracle", "--hessian-file", str(h), "--wstar-file",
+                                      str(w), "--exact-vs-approx", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: --exact-vs-approx needs a w* without zeros")
+        assert str(w) in result.output
+        assert not out.exists()
+
     def test_dim_and_cases_unchecked_for_a_hessian_file(self, runner, tmp_path):
         h = tmp_path / "h.txt"
         np.savetxt(h, np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -543,6 +558,31 @@ class TestReport:
         assert result.exit_code == 0
         assert "warning" in result.output
         assert (out / "report_series.csv").read_text().startswith("iter,layer")
+
+    RECORD = "iter,phase,lambda,train_loss,val_acc,disp_l0\n0,reg,0.0,0.5,0.75,0.1\n"
+    SNAPSHOTS = "iter,layer,group,value\n0,0,0,1.0\n5,0,0,0.5\n"
+
+    @pytest.mark.parametrize("name, text", [
+        ("record.csv", "phase,lambda,train_loss,val_acc\nreg,0.0,0.5,0.75\n"),
+        ("record.csv", "iter,phase,lambda,train_loss,val_acc\n0,reg,0.0\n"),
+        ("norm_snapshots.csv", "iter,layer,group,value\nx,0,0,1.0\n"),
+        ("norm_snapshots.csv", ""),
+        ("record.csv", b"iter,phase\xff\xfe\n"),
+    ], ids=["no-iter-column", "short-row", "non-integer-iter", "empty-snapshots",
+            "not-utf8"])
+    def test_malformed_input_exits_2_writing_nothing(self, runner, tmp_path, name, text):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "record.csv").write_text(self.RECORD)
+        (run / "norm_snapshots.csv").write_text(self.SNAPSHOTS)
+        bad = run / name
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["report", str(run), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+        assert str(bad) in result.output
+        assert not out.exists()
 
     def test_missing_record_is_input_error(self, runner, tmp_path):
         out = tmp_path / "nothing"

@@ -14,6 +14,7 @@ from growreg.netcore import (
     OptimState,
     accuracy,
     forward,
+    layer_shapes,
     loss_and_grads,
     sgd_step,
     softmax_cross_entropy,
@@ -94,6 +95,40 @@ class TestLayerSpec:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             LayerSpec("attention", 4)
+
+
+def logits(units):
+    return LayerSpec("dense", units, activation="none", prunable=False)
+
+
+class TestLayerShapes:
+    @pytest.mark.parametrize("layers, input_shape", [
+        ((LayerSpec("dense", 5), logits(3)), (4,)),
+        ((LayerSpec("dense", 7), LayerSpec("dense", 2), logits(2)), (1, 3, 3)),
+        ((LayerSpec("conv2d", 4, kernel=(3, 3)), LayerSpec("conv2d", 2, kernel=(2, 1)),
+          LayerSpec("conv2d", 3, kernel=(1, 1), activation="none", prunable=False)),
+         (2, 6, 5)),
+        ((LayerSpec("conv2d", 6, kernel=(3, 3)), LayerSpec("conv2d", 5, kernel=(2, 2)),
+          LayerSpec("dense", 8), logits(3)), (2, 9, 9)),
+        ((LayerSpec("conv2d", 2, kernel=(4, 2)), logits(4)), (3, 4, 7)),
+    ], ids=["dense", "dense-on-image", "conv", "conv-dense", "full-height-kernel"])
+    def test_weight_shapes_match_initialize(self, layers, input_shape):
+        shapes = layer_shapes(layers, input_shape)
+        net = Network.initialize(layers, input_shape, layers[-1].units, seed=0)
+        assert [w_shape for _, w_shape in shapes] == [w.shape for w in net.weights]
+        assert shapes[0][0] == input_shape
+
+    @pytest.mark.parametrize("layers, input_shape, message", [
+        ((LayerSpec("dense", 4), LayerSpec("conv2d", 2, kernel=(1, 1))), (1, 5, 5),
+         r"conv2d layer 1 needs \(channels, h, w\) input, got \(4,\)"),
+        ((LayerSpec("conv2d", 2, kernel=(3, 6)), logits(2)), (1, 5, 5),
+         r"conv2d layer 0: kernel \(3, 6\) larger than input \(1, 5, 5\)"),
+    ], ids=["dense-to-conv", "oversized-kernel"])
+    def test_incompatible_chain_raises(self, layers, input_shape, message):
+        with pytest.raises(DimensionError, match=message):
+            layer_shapes(layers, input_shape)
+        with pytest.raises(DimensionError, match=message):
+            Network.initialize(layers, input_shape, 2)
 
 
 class TestForward:
