@@ -13,10 +13,10 @@ mid-ramp, so optimizer velocities and schedule state are not stored. The
 header lists the topology (input shape, class count, layer specs), the
 indices of layers carrying frozen-weight masks, and the blob directory
 (name, shape, dtype string) that topology implies: ``w{l}`` and ``b{l}``
-per layer, ``<f8``, then ``fz{l}`` per frozen layer, ``|u1``. A loaded
-directory must be exactly that one, in file order. Identical networks
-produce byte-identical files. Version 1 files, which could also carry
-velocities and a schedule-state document, are rejected.
+per layer, ``<f8``, then ``fz{l}`` per frozen layer, ``|u1`` bytes of 0
+or 1. A loaded directory must be exactly that one, in file order.
+Identical networks produce byte-identical files. Version 1 files, which
+could also carry velocities and a schedule-state document, are rejected.
 """
 
 from __future__ import annotations
@@ -112,8 +112,9 @@ def load_checkpoint(path):
     working; a later change can return the network alone.
 
     A malformed file raises ``ConfigError`` naming ``path``. That includes
-    a version-1 file and a float blob (weights or biases) holding a NaN or
-    an infinity, which names the blob too. Blobs carry no checksum, so any
+    a version-1 file, a float blob (weights or biases) holding a NaN or
+    an infinity and a frozen-mask blob holding a byte other than 0 or 1,
+    both of which name the blob too. Blobs carry no checksum, so any
     other corrupted value loads as written.
     """
     with open(path, "rb") as fh:
@@ -141,6 +142,8 @@ def load_checkpoint(path):
         arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
         if dt.kind == "f" and not np.all(np.isfinite(arr)):
             raise ConfigError(f"{path}: blob {blob['name']} holds non-finite values")
+        if dt.kind == "u" and arr.max(initial=0) > 1:
+            raise ConfigError(f"{path}: blob {blob['name']} holds values other than 0 and 1")
         arrays.append(arr.reshape(blob["shape"]))
         offset += arr.nbytes
     if offset != len(raw):

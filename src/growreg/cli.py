@@ -109,6 +109,8 @@ def oracle(dim, cases, seed, deltas, tol, hessian_file, wstar_file, exact_vs_app
     for d in deltas:
         if not 0 < d < np.inf:
             raise ConfigError(f"--delta-lambda: delta_lambda must be finite and > 0, got {d!r}")
+    if wstar_file and not hessian_file:
+        raise ConfigError("--wstar-file needs --hessian-file")
     for flag, val, low in (("--dim", dim, 2), ("--cases", cases, 1)):
         if not hessian_file and val < low:
             raise ConfigError(f"{flag} must be >= {low} for random cases, got {val}")

@@ -5,9 +5,11 @@ unit's incoming column (dense) at ``filter`` granularity, or a single
 weight at ``weight`` granularity. :func:`group_view` is the one layout
 rule: it shows a layer's weights as a ``(groups, members)`` array, and
 counting, scoring and expanding per-group values all read that view.
-Selection zeroes the mask entries of the lowest-L1 groups per layer; hard
-pruning either pins those weights at zero (unstructured) or slices the
-tensors, including the consumer layer's matching input slice (structured).
+Per-group values (norms, scores, keep flags, penalties) are plain lists
+of one array per layer, matched to a net by :func:`check_covers`.
+Selection masks the lowest-scoring groups per layer; hard pruning either
+pins those weights at zero (unstructured) or slices the tensors,
+including the consumer layer's matching input slice (structured).
 
 All transformations return new objects; nothing here mutates a network.
 """
@@ -26,11 +28,6 @@ from .netcore import Network, layer_shapes
 GRANULARITIES = ("filter", "weight")
 
 
-def _check_granularity(granularity):
-    if granularity not in GRANULARITIES:
-        raise DomainError(f"granularity must be one of {GRANULARITIES}")
-
-
 @dataclass(frozen=True)
 class PruningPlan:
     """Per-layer target ratios plus grouping granularity.
@@ -44,7 +41,8 @@ class PruningPlan:
     never_prune: frozenset = field(init=False)
 
     def __post_init__(self):
-        _check_granularity(self.granularity)
+        if self.granularity not in GRANULARITIES:
+            raise DomainError(f"granularity must be one of {GRANULARITIES}")
         ratios = tuple(float(r) for r in self.ratios)
         if any(not 0.0 <= r <= 1.0 for r in ratios):
             raise PlanError(f"ratios must lie in [0, 1], got {ratios}")
@@ -130,34 +128,33 @@ def group_view(spec, w, granularity):
     A row is one weight at ``weight`` granularity; at ``filter`` it is a
     dense unit's incoming column (``w.T``) or a conv filter. The view
     shares memory with a C-contiguous ``w``, so writes through it land in
-    ``w``.
+    ``w``. Raises ``DomainError`` for an unknown granularity.
     """
     if granularity == "weight":
         return w.reshape(-1, 1)
+    if granularity != "filter":
+        raise DomainError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     if spec.kind == "dense":
         return w.T
     return w.reshape(len(w), -1)
 
 
 def group_counts(net: Network, granularity: str):
-    _check_granularity(granularity)
     return [len(group_view(spec, w, granularity))
             for spec, w in zip(net.layers, net.weights)]
 
 
-@dataclass(frozen=True, eq=False)
-class GroupNorms:
-    """Per-layer arrays of group L1 norms."""
+def check_covers(net: Network, granularity: str, per_layer, what: str):
+    """Raise ``DimensionError`` unless ``per_layer`` has one value per group of ``net``."""
+    have, counts = [len(v) for v in per_layer], group_counts(net, granularity)
+    if have != counts:
+        raise DimensionError(f"{what} holds {have} groups per layer, the net has {counts}")
 
-    per_layer: list
-    granularity: str
 
-
-def group_l1_norms(net: Network, granularity: str) -> GroupNorms:
-    _check_granularity(granularity)
-    norms = [np.abs(group_view(spec, w, granularity)).sum(axis=1)
-             for spec, w in zip(net.layers, net.weights)]
-    return GroupNorms(per_layer=norms, granularity=granularity)
+def group_l1_norms(net: Network, granularity: str) -> list:
+    """One array of group L1 norms per layer."""
+    return [np.abs(group_view(spec, w, granularity)).sum(axis=1)
+            for spec, w in zip(net.layers, net.weights)]
 
 
 def norm_dispersion(norms) -> float:
@@ -209,19 +206,17 @@ def selection_counts(plan: PruningPlan, counts):
     return out
 
 
-def select_prune_set(norms: GroupNorms, plan: PruningPlan) -> Mask:
-    """Mask the floor(r_l * n_l) smallest-norm groups per layer.
+def select_prune_set(scores, plan: PruningPlan) -> Mask:
+    """Mask the floor(r_l * n_l) lowest-scoring groups per layer.
 
-    Ties break toward the lower group index (stable sort), which keeps the
+    ``scores`` holds one array of per-group scores per layer, such as
+    :func:`group_l1_norms` returns, taken at the plan's granularity. Ties
+    break toward the lower group index (stable sort), which keeps the
     selection deterministic and permutation-consistent.
     """
-    if norms.granularity != plan.granularity:
-        raise PlanError(
-            f"norms granularity {norms.granularity!r} != plan {plan.granularity!r}"
-        )
-    ks = selection_counts(plan, [len(v) for v in norms.per_layer])
+    ks = selection_counts(plan, [len(v) for v in scores])
     flags = []
-    for vals, k in zip(norms.per_layer, ks):
+    for vals, k in zip(scores, ks):
         f = np.ones(len(vals), dtype=np.uint8)
         if k > 0:
             order = np.argsort(vals, kind="stable")
@@ -268,10 +263,7 @@ def expand_group_values(net: Network, granularity: str, layer_values):
     Returns a new flat vector whose slot for each weight holds its group's
     value: the per-weight penalty factors :func:`netcore.sgd_step` takes.
     """
-    _check_granularity(granularity)
-    counts = group_counts(net, granularity)
-    if [len(v) for v in layer_values] != counts:
-        raise DimensionError("group values do not cover the network's groups")
+    check_covers(net, granularity, layer_values, "group values")
     out = []
     for spec, w, vals in zip(net.layers, net.weights, layer_values):
         # C order, so the view writes into it; a layer's own slot may be a
@@ -282,8 +274,8 @@ def expand_group_values(net: Network, granularity: str, layer_values):
     return net._w_layout.copy(out)[0]
 
 
-def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Network:
-    """Physically apply a mask, returning a new network.
+def apply_hard_prune(net: Network, mask: Mask) -> Network:
+    """Physically apply a mask at its granularity, returning a new network.
 
     Weight granularity pins masked weights at exactly zero and freezes
     them out of future updates. Filter granularity removes the group's
@@ -291,17 +283,9 @@ def apply_hard_prune(net: Network, mask: Mask, granularity: str = None) -> Netwo
     layer (channels for conv consumers, flattened blocks for dense
     consumers); removed filters take their biases with them.
     """
-    granularity = granularity or mask.granularity
-    if granularity != mask.granularity:
-        raise PlanError(
-            f"mask granularity {mask.granularity!r} != requested {granularity!r}"
-        )
-    counts = group_counts(net, granularity)
-    if [len(f) for f in mask.flags] != counts:
-        raise DimensionError("mask does not cover the network's groups")
-
+    check_covers(net, mask.granularity, mask.flags, "mask")
     out = net.clone()
-    if granularity == "weight":
+    if mask.granularity == "weight":
         for l, flags in enumerate(mask.flags):
             dead = (flags == 0).reshape(out.weights[l].shape)
             out.weights[l][dead] = 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ProtocolError
+from .errors import ConfigError, DomainError, PlanError, ProtocolError
 from .datasets import Dataset, load_csv_dataset, make_dataset
 from .groups import (
     Mask,
@@ -213,9 +213,8 @@ def pretrain(exp: ExperimentConfig, data: Dataset = None) -> Network:
 
 
 def _dispersions(net, granularity):
-    norms = group_l1_norms(net, granularity)
     out = []
-    for vals in norms.per_layer:
+    for vals in group_l1_norms(net, granularity):
         try:
             out.append(norm_dispersion(vals))
         except DomainError:
@@ -239,10 +238,9 @@ def _metric_row(record, it, phase, lam, loss, net, data, granularity):
 def _snapshot(record, it, net, granularity, prunable_layers):
     norms = group_l1_norms(net, granularity)
     for l in prunable_layers:
-        vec = norms.per_layer[l]
-        peak = vec.max()
+        peak = norms[l].max()
         if peak > 0:
-            record.snapshots.append((it, l, vec / peak))
+            record.snapshots.append((it, l, norms[l] / peak))
 
 
 def _run_reg_phase(net, data, exp, state, record, control=False):
@@ -273,10 +271,14 @@ def run_method(
     One-shot methods prune the baseline immediately and fine-tune; ramped
     methods run the scheduler to done first, prune exactly the recorded
     set, then fine-tune under the shared schedule. ``initial_mask``
-    overrides the selection step (used by the shared-random-set protocol).
-    ``exp`` was checked when built; a ``baseline`` must have the configured
-    topology. The summary's ``reg_ticks`` counts the ticks the ramp ran.
+    overrides the selection step (used by the shared-random-set protocol)
+    and must be at the configured granularity. ``exp`` was checked when
+    built; a ``baseline`` must have the configured topology. The
+    summary's ``reg_ticks`` counts the ticks the ramp ran.
     """
+    if initial_mask is not None and initial_mask.granularity != exp.granularity:
+        raise PlanError(f"initial mask granularity {initial_mask.granularity!r} "
+                        f"differs from the config's {exp.granularity!r}")
     data = data or build_dataset(exp)
     if data.classes != exp.classes:
         raise ConfigError(
@@ -314,7 +316,7 @@ def run_method(
         pre_prune_acc = accuracy(net, data.val_x, data.val_y)
     reg_ticks = state.ticks if state is not None else 0
 
-    pruned = apply_hard_prune(net, mask, exp.granularity)
+    pruned = apply_hard_prune(net, mask)
     post_prune_acc = accuracy(pruned, data.val_x, data.val_y)
 
     ft_rng = np.random.default_rng([exp.seed, 4])

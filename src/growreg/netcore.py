@@ -161,6 +161,8 @@ class Network:
         self.flat_b, self.biases = self._b_layout.copy(self.biases)
         if not np.isfinite(self.flat_w).all():
             raise NumericError("non-finite weight values")
+        if not np.isfinite(self.flat_b).all():
+            raise NumericError("non-finite bias values")
 
     # -- construction ----------------------------------------------------
 
@@ -198,7 +200,6 @@ class Network:
             raise DimensionError(
                 f"final layer has {last.units} units for {self.classes} classes"
             )
-        self._layer_input_shapes = [in_shape for in_shape, _ in shapes]
 
     # -- conveniences ------------------------------------------------------
 
@@ -352,8 +353,8 @@ def loss_and_grads(net: Network, batch, labels):
             grads.weights[l][...] = (dz_mat.T @ inputs).reshape(w.shape)
             dz.sum(axis=(0, 2, 3), out=grads.biases[l])
             if l > 0:
-                c, h, wd = net._layer_input_shapes[l]
-                kh, kw = spec.kernel
+                c, kh, kw = w.shape[1:]
+                h, wd = oh + kh - 1, ow + kw - 1
                 # channels-last so each offset adds contiguous channel rows
                 w_mat = w.transpose(0, 2, 3, 1).reshape(f, -1)
                 dcols = (dz_mat @ w_mat).reshape(b, oh, ow, kh, kw, c)

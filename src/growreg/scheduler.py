@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ScheduleError
+from .errors import DomainError, ScheduleError
 from .groups import (
     Mask,
     PruningPlan,
+    check_covers,
     expand_group_values,
     group_counts,
     group_l1_norms,
@@ -168,9 +169,7 @@ def greg1_init(net: Network, plan: PruningPlan, cfg: RegConfig,
     validate_plan_against(net.layers, plan)
     if mask is None:
         mask = select_prune_set(group_l1_norms(net, plan.granularity), plan)
-    have, counts = [len(f) for f in mask.flags], group_counts(net, plan.granularity)
-    if have != counts:
-        raise DimensionError(f"mask flags {have} groups per layer, the net has {counts}")
+    check_covers(net, plan.granularity, mask.flags, "mask")
     roles = [np.where(f == 0, RAMPED, BASE) for f in mask.flags]
     return _new_state(net, plan, cfg, "greg1", roles)
 

@@ -177,14 +177,28 @@ def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
             try:
                 loaded, _, _ = load_checkpoint(path)
             except ConfigError as exc:
-                expected = f"blob.ckpt: blob {owner[pos]} holds non-finite values"
+                fault = ("values other than 0 and 1" if owner[pos].startswith("fz")
+                         else "non-finite values")
+                expected = f"blob.ckpt: blob {owner[pos]} holds {fault}"
                 assert str(exc).endswith(expected), (pos, bit)
                 rejected += 1
                 continue
             for arr in loaded.weights + loaded.biases:
                 assert np.all(np.isfinite(arr)), (pos, bit)
-    # exactly the flips that set a value's exponent to all ones
-    assert rejected == sum(arr.size for arr in floats)
+    # exactly the flips that set a value's exponent to all ones, and the
+    # seven flips per frozen-mask byte that leave it neither 0 nor 1
+    assert rejected == sum(arr.size for arr in floats) + 7 * net.frozen[0].size
+
+
+@pytest.mark.parametrize("byte", [2, 255])
+def test_frozen_mask_byte_other_than_0_or_1_rejected(tmp_path, byte):
+    raw = bytearray(checkpoint_bytes(frozen_net(20, [0])))
+    raw[-1] = byte  # the last byte of fz0, the last blob
+    path = tmp_path / "fz.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError,
+                       match=r"fz\.ckpt: blob fz0 holds values other than 0 and 1$"):
+        load_checkpoint(path)
 
 
 

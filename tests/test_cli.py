@@ -140,6 +140,16 @@ class TestOracle:
         assert result.output.startswith(message.format(tmp=tmp_path))
         assert not out.exists()
 
+    def test_wstar_file_without_hessian_file_exits_2_before_any_case(self, runner,
+                                                                     tmp_path):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["oracle", "--dim", "2", "--cases", "1",
+                                      "--wstar-file", str(tmp_path / "missing.txt"),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: --wstar-file needs --hessian-file\n"
+        assert not out.exists()
+
     def test_exact_vs_approx_rejects_zero_in_wstar(self, runner, tmp_path):
         # the exact ratios divide by w*, so a zero entry cannot be tabulated
         h = tmp_path / "h.txt"

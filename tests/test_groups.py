@@ -9,7 +9,6 @@ from conftest import mlp_specs, small_conv_net, weight_views
 from growreg.errors import DimensionError, DomainError, PlanError, StructureError
 from growreg.groups import (
     GRANULARITIES,
-    GroupNorms,
     Mask,
     PruningPlan,
     apply_hard_prune,
@@ -17,6 +16,7 @@ from growreg.groups import (
     format_pruning_plan,
     group_counts,
     group_l1_norms,
+    group_view,
     norm_dispersion,
     parse_pruning_plan,
     random_prune_set,
@@ -25,6 +25,7 @@ from growreg.groups import (
     validate_plan_against,
 )
 from growreg.netcore import LayerSpec, Network, forward
+from growreg.scheduler import RegConfig, greg1_init
 
 
 def zero_masked_forward(net, mask, x):
@@ -52,13 +53,13 @@ class TestGroupNorms:
             [np.zeros(2)],
         )
         norms = group_l1_norms(net, "filter")
-        assert norms.per_layer[0].tolist() == [1.0, 3.0]
+        assert norms[0].tolist() == [1.0, 3.0]
 
     def test_all_zero_layer(self):
         net = Network.initialize(mlp_specs([4]), (3,), 2, seed=0)
         net.weights[0][:] = 0.0
         norms = group_l1_norms(net, "filter")
-        assert np.all(norms.per_layer[0] == 0.0)
+        assert np.all(norms[0] == 0.0)
 
     def test_conv_filter_norm_matches_bruteforce(self, rng):
         net = small_conv_net(seed=1)
@@ -66,19 +67,40 @@ class TestGroupNorms:
         w = net.weights[0]
         for f in range(w.shape[0]):
             brute = sum(abs(v) for v in w[f].ravel())
-            assert norms.per_layer[0][f] == pytest.approx(brute, rel=1e-12)
+            assert norms[0][f] == pytest.approx(brute, rel=1e-12)
 
     def test_weight_granularity_counts(self):
         net = small_conv_net(seed=1)
         counts = group_counts(net, "weight")
         assert counts == [w.size for w in net.weights]
         norms = group_l1_norms(net, "weight")
-        assert [len(v) for v in norms.per_layer] == counts
+        assert [len(v) for v in norms] == counts
+
+
+class TestGranularityAndCover:
+    def test_group_view_rejects_an_unknown_granularity(self):
+        net = small_conv_net(seed=1)
+        for spec, w in zip(net.layers, net.weights):
+            with pytest.raises(DomainError, match="'filtr'"):
+                group_view(spec, w, "filtr")
+
+    @pytest.mark.parametrize("call", [
+        lambda net, mask: greg1_init(net, PruningPlan((0.0, 0.5, 0.0)),
+                                     RegConfig(delta_lambda=0.01, tau=0.1), mask),
+        lambda net, mask: apply_hard_prune(net, mask),
+        lambda net, mask: expand_group_values(net, mask.granularity, mask.flags),
+    ], ids=["greg1_init", "apply_hard_prune", "expand_group_values"])
+    def test_values_short_of_the_groups_name_both_counts(self, call):
+        net = Network.initialize(mlp_specs([8, 6]), (3,), 2, seed=0)
+        # layer 1's values cover 4 of its 6 filters
+        short = Mask("filter", [np.ones(n, dtype=np.uint8) for n in (8, 4, 2)])
+        with pytest.raises(DimensionError, match=r"\[8, 4, 2\].*\[8, 6, 2\]"):
+            call(net, short)
 
 
 class TestSelection:
     def _norms(self, values):
-        return GroupNorms(per_layer=[np.asarray(values, dtype=float)], granularity="filter")
+        return [np.asarray(values, dtype=float)]
 
     def test_two_smallest_masked(self):
         plan = PruningPlan(ratios=(0.5,))
@@ -98,7 +120,7 @@ class TestSelection:
     def test_exact_floor_count(self, rng):
         for n, r in [(10, 0.33), (7, 0.9), (24, 0.7), (5, 0.19)]:
             plan = PruningPlan(ratios=(r,))
-            norms = GroupNorms(per_layer=[rng.uniform(0, 1, n)], granularity="filter")
+            norms = [rng.uniform(0, 1, n)]
             mask = select_prune_set(norms, plan)
             assert int((mask.flags[0] == 0).sum()) == int(np.floor(r * n))
 

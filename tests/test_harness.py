@@ -194,6 +194,20 @@ class TestRunMethod:
             run_method(exp, baseline=net, initial_mask=short)
         assert np.array_equal(net.flat_w, before)
 
+    @pytest.mark.parametrize("method", ["greg1", "oneshot_l1"])
+    def test_mask_at_another_granularity_rejected_before_pretraining(
+            self, monkeypatch, method):
+        def no_pretrain(*args):
+            raise AssertionError("pretrained before the mask was rejected")
+
+        monkeypatch.setattr(harness, "pretrain", no_pretrain)
+        exp = quick_config(method=method)
+        net = Network.initialize(exp.layers, exp.input_shape, exp.classes, seed=0)
+        mask = Mask("weight", [np.ones(n, dtype=np.uint8)
+                               for n in group_counts(net, "weight")])
+        with pytest.raises(PlanError, match="'weight'.*'filter'"):
+            run_method(exp, initial_mask=mask)
+
     def test_greg1_rows_cover_phases(self):
         rec = run_method(quick_config(metric_every=10))
         phases = {row["phase"] for row in rec.rows}

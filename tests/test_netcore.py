@@ -556,6 +556,13 @@ class TestFlatLayout:
                 penalty_for(net, weight_views(net, index)), index
             )
 
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_constructor_rejects_a_nan(self, part):
+        w, b = np.eye(2), np.zeros(2)
+        (w if part == "weight" else b)[1] = np.nan
+        with pytest.raises(NumericError, match=f"^non-finite {part} values$"):
+            Network((LayerSpec("dense", 2, activation="none"),), (2,), 2, [w], [b])
+
     def test_constructor_copies_its_arrays(self):
         w = np.eye(2)
         net = Network((LayerSpec("dense", 2, activation="none"),), (2,), 2,
