@@ -114,8 +114,9 @@ def load_checkpoint(path):
     A malformed file raises ``ConfigError`` naming ``path``. That includes
     a version-1 file, a float blob (weights or biases) holding a NaN or
     an infinity and a frozen-mask blob holding a byte other than 0 or 1,
-    both of which name the blob too. Blobs carry no checksum, so any
-    other corrupted value loads as written.
+    both of which name the blob too, and a nonzero weight under a frozen
+    flag, which names the layer. Blobs carry no checksum, so any other
+    corrupted value loads as written.
     """
     with open(path, "rb") as fh:
         raw = fh.read()

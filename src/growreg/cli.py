@@ -205,9 +205,9 @@ def pretrain_cmd(config, seed, preset, out):
 def run_cmd(config, seed, preset, k_update, baseline, out):
     """Run the configured pruning pipeline and write its record."""
     exp = _load_experiment(config, seed, preset, k_update)
+    base_net = load_checkpoint(baseline)[0] if baseline else None
     out_dir = _out_dir(out, f"{exp.method}_seed{exp.seed}")
     _copy_config(config, out_dir)
-    base_net = load_checkpoint(baseline)[0] if baseline else None
     record = run_method(exp, baseline=base_net)
     _write(out_dir, "record.csv", record.record_csv())
     _write(out_dir, "summary.csv", record.summary_csv())
@@ -233,6 +233,8 @@ def run_cmd(config, seed, preset, k_update, baseline, out):
 @guarded
 def compare_cmd(config, seeds, kind, preset, k_update, out):
     """Ramped-vs-one-shot comparison over seeds with matched pruned sets."""
+    if seeds < 2:
+        raise ConfigError(f"--seeds must be >= 2, got {seeds}")
     exp = _load_experiment(config, None, preset, k_update)
     out_dir = _out_dir(out, f"compare_{kind}" + (f"_ku{k_update}" if k_update else ""))
     _copy_config(config, out_dir)

@@ -19,13 +19,22 @@ buffer; only a sum that is not finite (a NaN or inf entry, or finite
 entries that overflow) starts a layer-by-layer search, which names the
 layer or raises nothing.
 
-Everything is float64 numpy. Training runs in one Python thread, though
-numpy's BLAS may add threads of its own; forward passes on a network
-nobody is mutating are safe to run from anywhere.
+Everything is float64 numpy. Training runs in one Python thread, and
+training steps use as many BLAS threads as numpy's OpenBLAS is set to.
+:func:`accuracy` runs its forward pass at one BLAS thread and then
+restores the caller's count: an evaluation batch is large enough for
+OpenBLAS to wake a second thread, which then spins between calls and
+doubles the CPU time of a dense run for no wall time, while the batch-64
+step GEMMs of the desk nets stay under OpenBLAS's threading threshold.
+Importing this module changes no thread setting. The count is
+process-wide, so :func:`accuracy` is not meant to run from several Python
+threads at once; other forward passes on a network nobody is mutating are
+safe to run from anywhere.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -95,6 +104,28 @@ class _Layout:
         return flat, views
 
 
+def _blas_thread_calls():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS.
+
+    They are looked up through numpy's core extension, which links that
+    library. Where it is missing or lacks the symbols (another BLAS, an
+    older numpy), both are no-ops: the getter returns 0 and the setter
+    does nothing, so :func:`accuracy` runs at whatever count is in effect.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return (lambda: 0), (lambda n: None)
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_get_blas_threads, _set_blas_threads = _blas_thread_calls()
+
+
 def _first_non_finite(flat_w, flat_b, layer_views):
     """Index of the first layer holding a NaN or an inf, or None.
 
@@ -144,7 +175,7 @@ class Network:
     with copies of the arrays given, each in its stride order; write
     through them, never rebind them. ``frozen[l]`` is an optional boolean
     mask of weights pinned at exactly zero (set by unstructured hard
-    pruning).
+    pruning); a nonzero weight under a set flag fails construction.
     """
 
     def __init__(self, layers, input_shape, classes, weights, biases, frozen=None):
@@ -191,8 +222,11 @@ class Network:
                 raise DimensionError(
                     f"layer {l} bias shape {b.shape}, expected ({spec.units},)"
                 )
-            if self.frozen[l] is not None and self.frozen[l].shape != w.shape:
+            mask = self.frozen[l]
+            if mask is not None and mask.shape != w.shape:
                 raise DimensionError(f"layer {l} frozen mask shape mismatch")
+            if mask is not None and np.any(w[mask]):
+                raise DomainError(f"layer {l}: nonzero weight under a frozen flag")
         last = self.layers[-1]
         if last.activation != "none":
             raise DomainError("final layer must emit raw logits (activation 'none')")
@@ -294,7 +328,17 @@ def forward(net: Network, batch_inputs):
 
 
 def accuracy(net: Network, inputs, labels) -> float:
-    logits = forward(net, inputs)[0]
+    """Fraction of ``inputs`` whose largest logit is at their label.
+
+    The forward pass runs with numpy's OpenBLAS at one thread, and the
+    count the caller had is restored afterwards, also when it raises.
+    """
+    threads = _get_blas_threads()
+    _set_blas_threads(1)
+    try:
+        logits = forward(net, inputs)[0]
+    finally:
+        _set_blas_threads(threads)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 

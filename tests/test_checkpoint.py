@@ -31,6 +31,7 @@ def test_frozen_roundtrip(tmp_path):
     net = Network.initialize(mlp_specs([5, 4]), (3,), 2, seed=10)
     net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
     net.frozen[0][0, 1] = True
+    net.weights[0][0, 1] = 0.0
     path = tmp_path / "full.ckpt"
     save_checkpoint(path, net)
     loaded, opt, reg = load_checkpoint(path)
@@ -177,17 +178,21 @@ def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
             try:
                 loaded, _, _ = load_checkpoint(path)
             except ConfigError as exc:
-                fault = ("values other than 0 and 1" if owner[pos].startswith("fz")
-                         else "non-finite values")
-                expected = f"blob.ckpt: blob {owner[pos]} holds {fault}"
+                if owner[pos] == "fz0" and bit == 0:
+                    expected = "blob.ckpt: layer 0: nonzero weight under a frozen flag"
+                elif owner[pos] == "fz0":
+                    expected = "blob.ckpt: blob fz0 holds values other than 0 and 1"
+                else:
+                    expected = f"blob.ckpt: blob {owner[pos]} holds non-finite values"
                 assert str(exc).endswith(expected), (pos, bit)
                 rejected += 1
                 continue
             for arr in loaded.weights + loaded.biases:
                 assert np.all(np.isfinite(arr)), (pos, bit)
-    # exactly the flips that set a value's exponent to all ones, and the
-    # seven flips per frozen-mask byte that leave it neither 0 nor 1
-    assert rejected == sum(arr.size for arr in floats) + 7 * net.frozen[0].size
+    # exactly the flips that set a value's exponent to all ones, the seven
+    # flips per frozen-mask byte that leave it neither 0 nor 1, and the
+    # eighth, which sets a flag over a nonzero weight
+    assert rejected == sum(arr.size for arr in floats) + 8 * net.frozen[0].size
 
 
 @pytest.mark.parametrize("byte", [2, 255])

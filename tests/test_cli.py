@@ -264,6 +264,19 @@ class TestPipelineCommands:
         assert len(result.output.strip().splitlines()) == 1
         assert "unsupported checkpoint version 1" in result.output
 
+    def test_run_with_unreadable_baseline_exits_2_writing_nothing(self, runner,
+                                                                  tmp_path):
+        cfg = tiny_config(tmp_path)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"not a checkpoint")
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out),
+                                      "--baseline", str(ckpt)])
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+        assert "not a checkpoint file (bad magic)" in result.output
+        assert not out.exists()
+
     def test_run_byte_identical_records(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)
         outs = []
@@ -303,6 +316,16 @@ class TestPipelineCommands:
         lines = (out / "comparison.csv").read_text().strip().splitlines()
         assert lines[0] == "seed,method,post_finetune_acc,pruned_hash"
         assert "greg1" in result.output and "oneshot" in result.output
+
+    @pytest.mark.parametrize("seeds", ["1", "0", "-2"])
+    def test_compare_with_too_few_seeds_exits_2_writing_nothing(self, runner,
+                                                               tmp_path, seeds):
+        out = tmp_path / "cmp"
+        result = runner.invoke(main, ["compare", "--config", str(tiny_config(tmp_path)),
+                                      "--seeds", seeds, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.strip() == f"error: --seeds must be >= 2, got {seeds}"
+        assert not out.exists()
 
     def test_k_update_override_changes_ramp(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)

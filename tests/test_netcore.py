@@ -5,6 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import mlp_specs, penalty_for, small_conv_net, weight_views
+from growreg import netcore
 from growreg.errors import DimensionError, DomainError, NumericError
 from growreg.groups import Mask, apply_hard_prune, group_counts
 from growreg.netcore import (
@@ -563,6 +564,15 @@ class TestFlatLayout:
         with pytest.raises(NumericError, match=f"^non-finite {part} values$"):
             Network((LayerSpec("dense", 2, activation="none"),), (2,), 2, [w], [b])
 
+    def test_constructor_rejects_a_nonzero_weight_under_a_frozen_flag(self):
+        w, frozen = np.eye(2), np.zeros((2, 2), dtype=bool)
+        frozen[0, 1] = True
+        spec = (LayerSpec("dense", 2, activation="none"),)
+        Network(spec, (2,), 2, [w], [np.zeros(2)], [frozen])
+        frozen[1, 1] = True
+        with pytest.raises(DomainError, match="^layer 0: nonzero weight under a frozen flag$"):
+            Network(spec, (2,), 2, [w], [np.zeros(2)], [frozen])
+
     def test_constructor_copies_its_arrays(self):
         w = np.eye(2)
         net = Network((LayerSpec("dense", 2, activation="none"),), (2,), 2,
@@ -598,3 +608,41 @@ class TestDeterminism:
         x = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
         assert accuracy(net, x, np.array([0, 1, 0, 1])) == 1.0
         assert accuracy(net, x, np.array([1, 1, 0, 1])) == 0.75
+
+
+@pytest.mark.skipif(netcore._get_blas_threads() == 0,
+                    reason="numpy's bundled OpenBLAS thread calls not found")
+class TestAccuracyBlasThreads:
+    @pytest.fixture
+    def two_threads(self):
+        before = netcore._get_blas_threads()
+        netcore._set_blas_threads(2)
+        yield
+        netcore._set_blas_threads(before)
+
+    def test_forward_runs_at_one_thread_then_the_count_is_restored(
+            self, two_threads, monkeypatch, rng):
+        seen = []
+
+        def recording_forward(net, inputs):
+            seen.append(netcore._get_blas_threads())
+            return forward(net, inputs)
+
+        monkeypatch.setattr(netcore, "forward", recording_forward)
+        net = small_conv_net(seed=2)
+        accuracy(net, rng.standard_normal((8, *net.input_shape)), np.zeros(8, int))
+        assert seen == [1]
+        assert netcore._get_blas_threads() == 2
+
+    def test_restores_the_count_when_forward_raises(self, two_threads):
+        net = small_conv_net(seed=2)
+        with pytest.raises(DimensionError):
+            accuracy(net, np.zeros((4, 3)), np.zeros(4, int))
+        assert netcore._get_blas_threads() == 2
+
+    def test_equals_the_argmax_of_forward(self, rng):
+        net = Network.initialize(mlp_specs([64, 48, 32]), (2,), 2, seed=5)
+        x = rng.standard_normal((512, 2))
+        y = rng.integers(0, 2, 512)
+        expect = np.mean(np.argmax(forward(net, x)[0], axis=1) == y)
+        assert accuracy(net, x, y) == expect
