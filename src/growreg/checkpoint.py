@@ -11,10 +11,11 @@ Layout (all integers little-endian):
 A checkpoint holds a network and nothing else: no command resumes a run
 mid-ramp, so optimizer velocities and schedule state are not stored. The
 header lists the topology (input shape, class count, layer specs), the
-indices of layers carrying frozen-weight masks, and the blob directory
-(name, shape, dtype string) that topology implies: ``w{l}`` and ``b{l}``
-per layer, ``<f8``, then ``fz{l}`` per frozen layer, ``|u1`` bytes of 0
-or 1. A loaded directory must be exactly that one, in file order.
+indices of layers carrying frozen-weight masks (``[]`` or every index: a
+network masks all its layers or none), and the blob directory (name,
+shape, dtype string) that topology implies: ``w{l}`` and ``b{l}`` per
+layer, ``<f8``, then ``fz{l}`` per frozen layer, ``|u1`` bytes of 0 or 1.
+A loaded directory must be exactly that one, in file order.
 Identical networks produce byte-identical files. Version 1 files, which
 could also carry velocities and a schedule-state document, are rejected.
 """
@@ -52,10 +53,9 @@ def _blobs(layers, input_shape, frozen_layers):
 
 
 def checkpoint_bytes(net: Network) -> bytes:
-    frozen_layers = [l for l, m in enumerate(net.frozen) if m is not None]
+    frozen_layers = [] if net.frozen is None else list(range(len(net.layers)))
     blobs = _blobs(net.layers, net.input_shape, frozen_layers)
-    arrays = [a for pair in zip(net.weights, net.biases) for a in pair]
-    arrays += [net.frozen[l] for l in frozen_layers]
+    arrays = [a for pair in zip(net.weights, net.biases) for a in pair] + list(net.frozen or ())
     header = {
         "input_shape": list(net.input_shape),
         "classes": net.classes,
@@ -89,9 +89,9 @@ def _parse_header(text, path):
     layers = parse_layers(field(header, "layers", list, where), f"{where}.layers",
                           LAYER_KEYS)
     frozen = ints(header, "frozen_layers", where)
-    if frozen != sorted(set(frozen)) or any(l >= len(layers) for l in frozen):
-        raise ConfigError(f"{where}: frozen_layers {frozen} are not strictly "
-                          f"increasing indices of the {len(layers)} layers")
+    if frozen not in ([], list(range(len(layers)))):
+        raise ConfigError(f"{where}: frozen_layers {frozen} are neither [] nor "
+                          f"every index of the {len(layers)} layers")
     try:
         blobs = _blobs(layers, input_shape, frozen)
     except DimensionError as exc:
@@ -151,9 +151,7 @@ def load_checkpoint(path):
         raise ConfigError(f"{path}: trailing bytes after declared blobs")
 
     n = len(layers)
-    frozen = [None] * n
-    for l, mask in zip(header["frozen_layers"], arrays[2 * n :]):
-        frozen[l] = mask.astype(bool)
+    frozen = [mask.astype(bool) for mask in arrays[2 * n :]] or None
     try:
         net = Network(layers, header["input_shape"], header["classes"],
                       arrays[0 : 2 * n : 2], arrays[1 : 2 * n : 2], frozen)

@@ -13,6 +13,7 @@ import functools
 import os
 import shutil
 import sys
+import warnings
 from dataclasses import replace
 
 import click
@@ -22,7 +23,8 @@ from . import quadratic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PRESETS, load_config
 from .errors import ConfigError, GrowRegError, InputError
-from .harness import build_dataset, compare_schedules, csv_text, pretrain, run_method
+from .harness import (build_dataset, check_baseline, compare_schedules, csv_text, pretrain,
+                      run_method)
 from .netcore import accuracy
 
 EXIT_INPUT = 2
@@ -79,8 +81,10 @@ def main():
 
 def _load_text(path, ndmin):
     try:
-        return np.loadtxt(path, ndmin=ndmin)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns, not raises, on an empty file
+            return np.loadtxt(path, ndmin=ndmin)
+    except (OSError, ValueError, Warning) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -206,6 +210,7 @@ def run_cmd(config, seed, preset, k_update, baseline, out):
     """Run the configured pruning pipeline and write its record."""
     exp = _load_experiment(config, seed, preset, k_update)
     base_net = load_checkpoint(baseline)[0] if baseline else None
+    check_baseline(exp, base_net)
     out_dir = _out_dir(out, f"{exp.method}_seed{exp.seed}")
     _copy_config(config, out_dir)
     record = run_method(exp, baseline=base_net)

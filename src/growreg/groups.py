@@ -284,22 +284,24 @@ def apply_hard_prune(net: Network, mask: Mask) -> Network:
     consumers); removed filters take their biases with them.
     """
     check_covers(net, mask.granularity, mask.flags, "mask")
-    out = net.clone()
+    # C-ordered copies: the stride order np.delete leaves follows its input's
+    weights = [np.array(w, order="C") for w in net.weights]
+    biases = list(net.biases)
+    frozen = None if net.frozen is None else list(net.frozen)
     if mask.granularity == "weight":
-        for l, flags in enumerate(mask.flags):
-            dead = (flags == 0).reshape(out.weights[l].shape)
-            out.weights[l][dead] = 0.0
-            prev = out.frozen[l]
-            out.frozen[l] = dead if prev is None else (prev | dead)
-        return out
+        dead = [(flags == 0).reshape(w.shape) for flags, w in zip(mask.flags, weights)]
+        frozen = dead if frozen is None else [d | old for d, old in zip(dead, frozen)]
+        for w, fz in zip(weights, frozen):
+            w[fz] = 0.0
+        return Network(net.layers, net.input_shape, net.classes, weights, biases, frozen)
 
     def cut(l, idx, axis):
         """Delete ``idx`` along ``axis`` from layer ``l``'s weights and frozen mask."""
-        out.weights[l] = np.delete(out.weights[l], idx, axis=axis)
-        if out.frozen[l] is not None:
-            out.frozen[l] = np.delete(out.frozen[l], idx, axis=axis)
+        weights[l] = np.delete(weights[l], idx, axis=axis)
+        if frozen is not None:
+            frozen[l] = np.delete(frozen[l], idx, axis=axis)
 
-    specs = list(out.layers)
+    specs = list(net.layers)
     shapes = layer_shapes(net.layers, net.input_shape)
     for l, flags in enumerate(mask.flags):
         removed = np.flatnonzero(flags == 0)
@@ -311,7 +313,7 @@ def apply_hard_prune(net: Network, mask: Mask) -> Network:
         if flags.sum() == 0:
             raise StructureError(f"layer {l}: mask removes every group")
         cut(l, removed, 1 if spec.kind == "dense" else 0)
-        out.biases[l] = np.delete(out.biases[l], removed)
+        biases[l] = np.delete(biases[l], removed)
         specs[l] = replace(spec, units=spec.units - removed.size)
 
         nxt = specs[l + 1]
@@ -327,15 +329,12 @@ def apply_hard_prune(net: Network, mask: Mask) -> Network:
                 rows = (removed[:, None] * block + np.arange(block)[None, :]).ravel()
             cut(l + 1, rows, 0)
     try:
-        return Network(specs, out.input_shape, out.classes, out.weights, out.biases, out.frozen)
+        return Network(specs, net.input_shape, net.classes, weights, biases, frozen)
     except (DimensionError, DomainError) as exc:
         raise StructureError(f"mask produced an inconsistent network: {exc}") from exc
 
 
 def sparsity(original: Network, pruned: Network) -> float:
     """Fraction of weight entries removed or pinned at zero."""
-    total = original.num_weights()
-    live = 0
-    for w, fz in zip(pruned.weights, pruned.frozen):
-        live += w.size - (int(fz.sum()) if fz is not None else 0)
-    return 1.0 - live / total
+    pinned = 0 if pruned.flat_frozen is None else int(np.count_nonzero(pruned.flat_frozen))
+    return 1.0 - (pruned.num_weights() - pinned) / original.num_weights()

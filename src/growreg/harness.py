@@ -284,14 +284,7 @@ def run_method(
         raise ConfigError(
             f"dataset has {data.classes} classes, network expects {exp.classes}"
         )
-    if baseline is not None:
-        have = (tuple(baseline.layers), baseline.input_shape, baseline.classes)
-        want = (exp.layers, exp.input_shape, exp.classes)
-        if have != want:
-            raise ConfigError(
-                f"baseline topology ({_topology(*have)}) differs from the "
-                f"config's ({_topology(*want)})"
-            )
+    check_baseline(exp, baseline)
     plan = exp.pruning_plan
     net = (baseline or pretrain(exp, data)).clone()
     record = ExperimentRecord(n_layers=len(net.layers))
@@ -343,6 +336,17 @@ def run_method(
         suppression_stats(net, state) if state is not None else {}
     )
     return record
+
+
+def check_baseline(exp: ExperimentConfig, baseline: Network):
+    """Raises ``ConfigError`` if a ``baseline`` is given with another topology."""
+    if baseline is None:
+        return
+    have = (tuple(baseline.layers), baseline.input_shape, baseline.classes)
+    want = (exp.layers, exp.input_shape, exp.classes)
+    if have != want:
+        raise ConfigError(f"baseline topology ({_topology(*have)}) differs from the "
+                          f"config's ({_topology(*want)})")
 
 
 def _topology(layers, input_shape, classes):

@@ -9,12 +9,13 @@ the reported loss is the task loss alone. Biases are never penalized.
 
 Each network keeps its parameters in two flat float64 buffers, ``flat_w``
 and ``flat_b``; ``weights[l]`` and ``biases[l]`` are views into them.
-Gradients, velocities and the penalty vector use the same layout, so
-:func:`sgd_step` updates the whole network in a few whole-buffer calls.
-A layer's view keeps the stride order of the array the network was built
-from (numpy's ``order="K"``): a filter cut made by ``np.delete`` along a
-dense layer's axis 1 stays F-ordered, and the GEMMs that read it round as
-they did before the network was rebuilt. Finiteness is one sum per flat
+Gradients, velocities, the penalty vector and the boolean frozen-weight
+mask ``flat_frozen`` use the same layout, so :func:`sgd_step` updates and
+pins the whole network in a few whole-buffer calls. A layer's view
+keeps the stride order of the array the network was built from (numpy's
+``order="K"``): a filter cut made by ``np.delete`` along a dense layer's
+axis 1 stays F-ordered, and the GEMMs that read it round as they did
+before the network was rebuilt. Finiteness is one sum per flat
 buffer; only a sum that is not finite (a NaN or inf entry, or finite
 entries that overflow) starts a layer-by-layer search, which names the
 layer or raises nothing.
@@ -72,33 +73,33 @@ class LayerSpec:
 
 
 class _Layout:
-    """Where each of a list of arrays sits in one flat float64 buffer.
-
-    A slot keeps the stride order that ``order="K"`` gives the array it was
-    laid out from, so its view walks memory in that array's order.
+    """Where each of a list of arrays sits in one flat buffer of any dtype:
+    a slot's view reshapes its span with the axes sorted by the laid-out
+    array's strides, largest first, and transposes them back.
     """
 
     def __init__(self, arrays):
         self.slots = []
         offset = 0
         for a in arrays:
-            strides = np.empty_like(a, dtype=float, order="K").strides
-            self.slots.append((a.shape, offset * 8, strides))
+            order = sorted(range(a.ndim), key=lambda ax: -abs(a.strides[ax]))
+            self.slots.append((offset, offset + a.size, tuple(a.shape[ax] for ax in order),
+                               tuple(order.index(ax) for ax in range(a.ndim))))
             offset += a.size
         self.size = offset
 
     def views(self, flat):
-        return [np.ndarray(shape, float, buffer=flat, offset=off, strides=strides)
-                for shape, off, strides in self.slots]
+        return tuple(flat[lo:hi].reshape(shape).transpose(axes)
+                     for lo, hi, shape, axes in self.slots)
 
-    def allocate(self, alloc=np.zeros):
+    def allocate(self, alloc=np.zeros, dtype=float):
         """A new flat buffer and its views."""
-        flat = alloc(self.size)
+        flat = alloc(self.size, dtype)
         return flat, self.views(flat)
 
-    def copy(self, arrays):
+    def copy(self, arrays, dtype=float):
         """A new flat buffer holding copies of ``arrays``, and its views."""
-        flat, views = self.allocate(np.empty)
+        flat, views = self.allocate(np.empty, dtype)
         for view, a in zip(views, arrays):
             view[...] = a
         return flat, views
@@ -126,18 +127,18 @@ def _blas_thread_calls():
 _get_blas_threads, _set_blas_threads = _blas_thread_calls()
 
 
-def _first_non_finite(flat_w, flat_b, layer_views):
-    """Index of the first layer holding a NaN or an inf, or None.
+def _first_non_finite(params):
+    """Index of the first layer of ``params`` holding a NaN or an inf, or None.
 
-    One sum per flat buffer; ``layer_views`` (pairs of per-layer arrays)
-    are searched only when the total is not finite. A finite total proves
-    every entry finite. Finite entries can also overflow the total; the
-    search then finds nothing, so they never raise, though numpy may warn
-    of the overflow outside an ``np.errstate`` that silences it.
+    ``params`` is a network or its gradients. One sum per flat buffer; the
+    per-layer views are searched only when the total is not finite. A finite
+    total proves every entry finite. Finite entries can also overflow the
+    total; the search then finds nothing, so they never raise, though numpy
+    may warn of the overflow outside an ``np.errstate`` that silences it.
     """
-    if np.isfinite(flat_w.sum() + flat_b.sum()):
+    if np.isfinite(params.flat_w.sum() + params.flat_b.sum()):
         return None
-    for l, (w, b) in enumerate(layer_views):
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             return l
     return None
@@ -150,8 +151,8 @@ class GradBuffer:
 
     flat_w: np.ndarray
     flat_b: np.ndarray
-    weights: list
-    biases: list
+    weights: tuple
+    biases: tuple
 
     @classmethod
     def for_network(cls, net):
@@ -161,8 +162,7 @@ class GradBuffer:
         return cls(flat_w, flat_b, weights, biases)
 
     def check_finite(self):
-        pairs = zip(self.weights, self.biases)
-        if _first_non_finite(self.flat_w, self.flat_b, pairs) is not None:
+        if _first_non_finite(self) is not None:
             raise NumericError("non-finite gradient values")
 
 
@@ -173,23 +173,25 @@ class Network:
     ``(filters, in_channels, kh, kw)`` for conv layers; ``biases[l]`` is
     ``(units,)``. They are views into ``flat_w`` and ``flat_b``, filled
     with copies of the arrays given, each in its stride order; write
-    through them, never rebind them. ``frozen[l]`` is an optional boolean
-    mask of weights pinned at exactly zero (set by unstructured hard
-    pruning); a nonzero weight under a set flag fails construction.
+    through them. ``frozen``, one boolean mask per layer or None, marks
+    weights pinned at exactly zero by unstructured hard pruning (a nonzero
+    weight under a set flag fails construction). It is None or views into
+    ``flat_frozen``, one mask buffer in ``flat_w``'s layout. All three
+    per-layer sequences are tuples, so no view can be rebound.
     """
 
     def __init__(self, layers, input_shape, classes, weights, biases, frozen=None):
         self.layers = list(layers)
         self.input_shape = tuple(int(s) for s in input_shape)
         self.classes = int(classes)
-        self.weights = list(weights)
-        self.biases = list(biases)
-        self.frozen = list(frozen) if frozen is not None else [None] * len(self.layers)
-        self._validate()
-        self._w_layout = _Layout(self.weights)
-        self._b_layout = _Layout(self.biases)
-        self.flat_w, self.weights = self._w_layout.copy(self.weights)
-        self.flat_b, self.biases = self._b_layout.copy(self.biases)
+        self._validate(weights, biases, frozen)
+        self._w_layout = _Layout(weights)
+        self._b_layout = _Layout(biases)
+        self.flat_w, self.weights = self._w_layout.copy(weights)
+        self.flat_b, self.biases = self._b_layout.copy(biases)
+        self.flat_frozen = self.frozen = None
+        if frozen is not None:
+            self.flat_frozen, self.frozen = self._w_layout.copy(frozen, bool)
         if not np.isfinite(self.flat_w).all():
             raise NumericError("non-finite weight values")
         if not np.isfinite(self.flat_b).all():
@@ -208,12 +210,12 @@ class Network:
             biases.append(np.zeros(spec.units))
         return cls(layers, input_shape, classes, weights, biases)
 
-    def _validate(self):
+    def _validate(self, weights, biases, frozen):
         if not self.layers:
             raise DimensionError("network needs at least one layer")
         shapes = layer_shapes(self.layers, self.input_shape)
         for l, (spec, (_, expect)) in enumerate(zip(self.layers, shapes)):
-            w, b = self.weights[l], self.biases[l]
+            w, b = weights[l], biases[l]
             if w.shape != expect:
                 raise DimensionError(
                     f"layer {l} weight shape {w.shape}, expected {expect}"
@@ -222,10 +224,9 @@ class Network:
                 raise DimensionError(
                     f"layer {l} bias shape {b.shape}, expected ({spec.units},)"
                 )
-            mask = self.frozen[l]
-            if mask is not None and mask.shape != w.shape:
+            if frozen is not None and frozen[l].shape != w.shape:
                 raise DimensionError(f"layer {l} frozen mask shape mismatch")
-            if mask is not None and np.any(w[mask]):
+            if frozen is not None and np.any(w[frozen[l]]):
                 raise DomainError(f"layer {l}: nonzero weight under a frozen flag")
         last = self.layers[-1]
         if last.activation != "none":
@@ -239,14 +240,8 @@ class Network:
 
     def clone(self):
         """An independent copy whose layers are all C-ordered."""
-        return Network(
-            self.layers,
-            self.input_shape,
-            self.classes,
-            [np.ascontiguousarray(w) for w in self.weights],
-            self.biases,
-            [m.copy() if m is not None else None for m in self.frozen],
-        )
+        return Network(self.layers, self.input_shape, self.classes,
+                       [np.ascontiguousarray(w) for w in self.weights], self.biases, self.frozen)
 
     def num_weights(self):
         return int(self.flat_w.size)
@@ -416,18 +411,14 @@ def loss_and_grads(net: Network, batch, labels):
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state in the network's layout.
-
-    Velocities are two flat buffers; ``vel_w[l]`` is a view into the
-    weights' one.
-    """
+    """SGD-with-momentum state in the network's layout: velocities are two
+    flat buffers, paired entry by entry with ``flat_w`` and ``flat_b``."""
 
     learning_rate: float
     momentum: float = 0.9
     base_decay: float = 5e-4
     flat_vel_w: np.ndarray = field(default=None, init=False)
     flat_vel_b: np.ndarray = field(default=None, init=False)
-    vel_w: list = field(default=None, init=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -438,7 +429,7 @@ class OptimState:
     @classmethod
     def for_network(cls, net: Network, learning_rate, momentum=0.9, base_decay=5e-4):
         state = cls(learning_rate, momentum, base_decay)
-        state.flat_vel_w, state.vel_w = net._w_layout.allocate()
+        state.flat_vel_w = np.zeros(net.flat_w.size)
         state.flat_vel_b = np.zeros(net.flat_b.size)
         return state
 
@@ -470,11 +461,10 @@ def sgd_step(net: Network, grads: GradBuffer, opt: OptimState, penalty=None):
     vb *= opt.momentum
     vb += grads.flat_b
     net.flat_b -= opt.learning_rate * vb
-    for w, vl, mask in zip(net.weights, opt.vel_w, net.frozen):
-        if mask is not None:
-            w[mask] = 0.0
-            vl[mask] = 0.0
-    bad = _first_non_finite(net.flat_w, net.flat_b, zip(net.weights, net.biases))
+    if net.flat_frozen is not None:
+        np.copyto(net.flat_w, 0.0, where=net.flat_frozen)
+        np.copyto(v, 0.0, where=net.flat_frozen)
+    bad = _first_non_finite(net)
     if bad is not None:
         raise NumericError(f"layer {bad}: non-finite parameters after update")
     return net

@@ -37,8 +37,8 @@ class QuadraticModel:
     """Symmetric PSD curvature matrix and converged weights.
 
     The matrix is symmetrized on construction; asymmetry beyond
-    ``SYMMETRY_WARN_TOL`` triggers a warning, and an eigenvalue below
-    ``PSD_EIG_TOL`` is rejected outright.
+    ``SYMMETRY_WARN_TOL`` triggers a warning, and a NaN or infinite
+    entry or an eigenvalue below ``PSD_EIG_TOL`` is rejected outright.
     """
 
     hessian: np.ndarray
@@ -54,6 +54,9 @@ class QuadraticModel:
             raise DimensionError(
                 f"w_star length {w.shape} incompatible with hessian {h.shape}"
             )
+        for name, a in (("hessian", h), ("w_star", w)):
+            if not np.isfinite(a).all():
+                raise DomainError(f"{name} holds a NaN or an infinity")
         asym = np.max(np.abs(h - h.T)) if h.size else 0.0
         if asym > SYMMETRY_WARN_TOL:
             warnings.warn(

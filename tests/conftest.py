@@ -26,6 +26,14 @@ def small_conv_net(seed=0, classes=3):
     )
 
 
+def with_frozen(net, masks=None):
+    """``net`` rebuilt with one frozen mask per layer, all clear by default,
+    and the weights under its set flags zeroed."""
+    masks = masks or [np.zeros(w.shape, dtype=bool) for w in net.weights]
+    weights = [np.where(m, 0.0, w) for m, w in zip(masks, net.weights)]
+    return Network(net.layers, net.input_shape, net.classes, weights, net.biases, masks)
+
+
 def weight_views(net, flat):
     """``flat``, a vector in ``net.flat_w``'s layout, seen layer by layer
     through the byte offset, shape and strides of each ``net.weights[l]``."""

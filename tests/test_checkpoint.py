@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import mlp_specs, small_conv_net
+from conftest import mlp_specs, small_conv_net, with_frozen
 from growreg.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from growreg.errors import ConfigError
 from growreg.netcore import Network
@@ -29,21 +29,22 @@ def test_net_roundtrip(tmp_path):
 
 def test_frozen_roundtrip(tmp_path):
     net = Network.initialize(mlp_specs([5, 4]), (3,), 2, seed=10)
-    net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
-    net.frozen[0][0, 1] = True
-    net.weights[0][0, 1] = 0.0
+    masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
+    masks[0][0, 1] = True
+    net = with_frozen(net, masks)
+    assert net.weights[0][0, 1] == 0.0
     path = tmp_path / "full.ckpt"
     save_checkpoint(path, net)
     loaded, opt, reg = load_checkpoint(path)
     assert opt is None and reg is None
-    assert loaded.frozen[0] is not None
+    assert loaded.frozen is not None
     assert bool(loaded.frozen[0][0, 1]) is True
-    assert loaded.frozen[1] is None
+    assert np.array_equal(loaded.flat_frozen, net.flat_frozen)
+    assert loaded.flat_frozen.sum() == 1
 
 
 def test_resave_is_byte_identical(tmp_path):
-    net = small_conv_net(seed=11)
-    net.frozen[1] = np.zeros_like(net.weights[1], dtype=bool)
+    net = with_frozen(small_conv_net(seed=11))
     first = checkpoint_bytes(net)
     loaded, _, _ = load_checkpoint_path(tmp_path, first)
     second = checkpoint_bytes(loaded)
@@ -82,8 +83,7 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_every_truncation_rejected(tmp_path):
-    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=15)
-    net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
+    net = frozen_net(15)
     raw = checkpoint_bytes(net)
     path = tmp_path / "cut.ckpt"
     for n in range(len(raw) + 1):
@@ -133,8 +133,7 @@ def test_version_1_rejected(tmp_path):
 
 
 def test_every_header_bit_flip_rejected_or_identical(tmp_path):
-    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=16)
-    net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
+    net = frozen_net(16)
     raw = checkpoint_bytes(net)
     (hlen,) = struct.unpack("<Q", raw[12:20])
     path = tmp_path / "flip.ckpt"
@@ -153,8 +152,7 @@ def test_every_header_bit_flip_rejected_or_identical(tmp_path):
 
 
 def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
-    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=18)
-    net.frozen[0] = np.zeros_like(net.weights[0], dtype=bool)
+    net = frozen_net(18)
     # magnitudes in [1, 2): flipping the top exponent bit of any of them
     # gives an infinity or a NaN, in weights and biases alike
     rng = np.random.default_rng(0)
@@ -178,10 +176,11 @@ def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
             try:
                 loaded, _, _ = load_checkpoint(path)
             except ConfigError as exc:
-                if owner[pos] == "fz0" and bit == 0:
-                    expected = "blob.ckpt: layer 0: nonzero weight under a frozen flag"
-                elif owner[pos] == "fz0":
-                    expected = "blob.ckpt: blob fz0 holds values other than 0 and 1"
+                if owner[pos].startswith("fz") and bit == 0:
+                    expected = (f"blob.ckpt: layer {owner[pos][2:]}: "
+                                "nonzero weight under a frozen flag")
+                elif owner[pos].startswith("fz"):
+                    expected = f"blob.ckpt: blob {owner[pos]} holds values other than 0 and 1"
                 else:
                     expected = f"blob.ckpt: blob {owner[pos]} holds non-finite values"
                 assert str(exc).endswith(expected), (pos, bit)
@@ -192,17 +191,17 @@ def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
     # exactly the flips that set a value's exponent to all ones, the seven
     # flips per frozen-mask byte that leave it neither 0 nor 1, and the
     # eighth, which sets a flag over a nonzero weight
-    assert rejected == sum(arr.size for arr in floats) + 8 * net.frozen[0].size
+    assert rejected == sum(arr.size for arr in floats) + 8 * net.flat_frozen.size
 
 
 @pytest.mark.parametrize("byte", [2, 255])
 def test_frozen_mask_byte_other_than_0_or_1_rejected(tmp_path, byte):
-    raw = bytearray(checkpoint_bytes(frozen_net(20, [0])))
-    raw[-1] = byte  # the last byte of fz0, the last blob
+    raw = bytearray(checkpoint_bytes(frozen_net(20)))
+    raw[-1] = byte  # the last byte of fz1, the last blob
     path = tmp_path / "fz.ckpt"
     path.write_bytes(bytes(raw))
     with pytest.raises(ConfigError,
-                       match=r"fz\.ckpt: blob fz0 holds values other than 0 and 1$"):
+                       match=r"fz\.ckpt: blob fz1 holds values other than 0 and 1$"):
         load_checkpoint(path)
 
 
@@ -229,19 +228,18 @@ def blob_data(raw):
     return out
 
 
-def frozen_net(seed, frozen_layers):
+def frozen_net(seed, frozen=True):
+    """A 2-3-2 net with all-clear frozen masks on both layers, or none."""
     net = Network.initialize(mlp_specs([3]), (2,), 2, seed=seed)
-    for l in frozen_layers:
-        net.frozen[l] = np.zeros_like(net.weights[l], dtype=bool)
-    return net
+    return with_frozen(net) if frozen else net
 
 
 def test_consistently_reordered_directory_rejected(tmp_path):
     # every blob still sits where the directory says, but not in the order
     # the topology implies
-    raw = checkpoint_bytes(frozen_net(21, [0]))
+    raw = checkpoint_bytes(frozen_net(21))
     data = blob_data(raw)
-    order = ["b0", "w0", "w1", "b1", "fz0"]
+    order = ["b0", "w0", "w1", "b1", "fz0", "fz1"]
 
     def reorder(header):
         by_name = {b["name"]: b for b in header["blobs"]}
@@ -254,7 +252,7 @@ def test_consistently_reordered_directory_rejected(tmp_path):
 
 
 def test_directory_entry_with_extra_key_rejected(tmp_path):
-    raw = checkpoint_bytes(frozen_net(22, []))
+    raw = checkpoint_bytes(frozen_net(22, frozen=False))
     path = tmp_path / "extra.ckpt"
     path.write_bytes(rewrite(raw, lambda h: h["blobs"][0].update(offset=0)))
     with pytest.raises(ConfigError, match="extra.ckpt: checkpoint header: blobs "):
@@ -262,19 +260,19 @@ def test_directory_entry_with_extra_key_rejected(tmp_path):
 
 
 def test_header_layer_with_extra_key_rejected(tmp_path):
-    raw = checkpoint_bytes(frozen_net(23, []))
+    raw = checkpoint_bytes(frozen_net(23, frozen=False))
     path = tmp_path / "layer.ckpt"
     path.write_bytes(rewrite(raw, lambda h: h["layers"][1].update(bias=True)))
     with pytest.raises(ConfigError, match=r"layer.ckpt: .*layers\[1\]: unknown keys \['bias'\]"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("frozen", [[1, 0], [0, 0]])
-def test_frozen_layers_not_strictly_increasing_rejected(tmp_path, frozen):
-    # the directory and the data list each frozen layer's mask once, in
-    # the listed order
+@pytest.mark.parametrize("frozen", [[1, 0], [0, 0], [0]])
+def test_frozen_layers_neither_none_nor_every_layer_rejected(tmp_path, frozen):
+    # a network holds masks for all its layers or for none; the directory
+    # and the data list each listed layer's mask once, in the listed order
     listed = list(dict.fromkeys(frozen))
-    raw = checkpoint_bytes(frozen_net(24, listed))
+    raw = checkpoint_bytes(frozen_net(24))
     data = blob_data(raw)
     names = ["w0", "b0", "w1", "b1"] + [f"fz{l}" for l in listed]
 
@@ -285,5 +283,6 @@ def test_frozen_layers_not_strictly_increasing_rejected(tmp_path, frozen):
 
     path = tmp_path / "fz.ckpt"
     path.write_bytes(rewrite(raw, relist, b"".join(data[n] for n in names)))
-    with pytest.raises(ConfigError, match=r"fz.ckpt: checkpoint header: frozen_layers \["):
+    with pytest.raises(ConfigError, match=r"fz.ckpt: checkpoint header: frozen_layers \[.*"
+                                          r"neither \[\] nor every index of the 2 layers$"):
         load_checkpoint(path)

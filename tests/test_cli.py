@@ -123,14 +123,23 @@ class TestOracle:
         assert result.output.startswith(f"error: {flags[0]} must be")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--wstar-file", "{tmp}/missing.txt"], "error: cannot read {tmp}/missing.txt: "),
-        (["--exact-vs-approx"], "error: --exact-vs-approx needs a 2x2 Hessian"),
-    ], ids=["missing-wstar", "exact-vs-approx-3x3"])
-    def test_bad_hessian_case_exits_2_before_any_case(self, runner, tmp_path, flags,
-                                                        message):
+    @pytest.mark.parametrize("hessian, flags, message", [
+        ("1 0 0\n0 2 0\n0 0 3\n", ["--wstar-file", "{tmp}/missing.txt"],
+         "error: cannot read {tmp}/missing.txt: "),
+        ("1 0 0\n0 2 0\n0 0 3\n", ["--exact-vs-approx"],
+         "error: --exact-vs-approx needs a 2x2 Hessian"),
+        ("nan 0\n0 1\n", [], "error: hessian holds a NaN or an infinity"),
+        ("inf 0\n0 1\n", [], "error: hessian holds a NaN or an infinity"),
+        ("1 0\n0 1\n", ["--wstar-file", "{tmp}/w.txt"],
+         "error: w_star holds a NaN or an infinity"),
+        ("", [], "error: cannot read {tmp}/h.txt: "),
+    ], ids=["missing-wstar", "exact-vs-approx-3x3", "nan-hessian", "inf-hessian",
+            "nan-wstar", "empty-hessian"])
+    def test_bad_hessian_case_exits_2_before_any_case(self, runner, tmp_path, hessian,
+                                                        flags, message):
         h = tmp_path / "h.txt"
-        np.savetxt(h, np.diag([1.0, 2.0, 3.0]))
+        h.write_text(hessian)
+        (tmp_path / "w.txt").write_text("nan 1\n")
         out = tmp_path / "o"
         flags = [f.format(tmp=tmp_path) for f in flags]
         result = runner.invoke(main, ["oracle", "--hessian-file", str(h), *flags,
@@ -248,6 +257,7 @@ class TestPipelineCommands:
         assert result.exit_code == 2
         assert len(result.output.strip().splitlines()) == 1
         assert "dense 12 relu" in result.output and "dense 16 relu" in result.output
+        assert not (tmp_path / "run").exists()
 
     def test_run_rejects_version_1_baseline(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -229,7 +229,7 @@ class TestHardPrune:
         assert pruned.frozen[0] is not None
         assert pruned.frozen[0].ravel()[dead].all()
         # original untouched
-        assert net.frozen[0] is None
+        assert net.frozen is None and net.flat_frozen is None
         assert sparsity(net, pruned) == pytest.approx(10 / net.num_weights())
 
     def test_cannot_remove_final_layer_outputs(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import mlp_specs, penalty_for, small_conv_net, weight_views
+from conftest import mlp_specs, penalty_for, small_conv_net, weight_views, with_frozen
 from growreg import netcore
 from growreg.errors import DimensionError, DomainError, NumericError
 from growreg.groups import Mask, apply_hard_prune, group_counts
@@ -294,10 +294,11 @@ def random_grads(net, rng):
     )
 
 
-def filter_pruned_net():
-    """Dense 5-6-4-3 net with filters cut from both hidden layers: layer 0
-    comes out of ``np.delete`` along axis 1, so it is F-ordered."""
-    net = Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
+def filter_pruned_net(net=None):
+    """Dense 5-6-4-3 net (``net``, or a fresh one) with filters cut from
+    both hidden layers: layer 0 comes out of ``np.delete`` along axis 1, so
+    it is F-ordered."""
+    net = net or Network.initialize(mlp_specs([6, 4], classes=3), (5,), 3, seed=7)
     flags = [np.ones(n, dtype=np.uint8) for n in (6, 4, 3)]
     flags[0][[1, 4]] = 0
     flags[1][[2]] = 0
@@ -379,6 +380,13 @@ class TestSgdStep:
             frozen, [5e-4, rng.uniform(0.0, 1e-2, frozen.weights[1].shape), 5e-4], rng
         )
         assert frozen.frozen[0].any() and frozen.frozen[1].any()
+        frozen_cut = filter_pruned_net(weight_pruned_net(rng))
+        assert stride_order(frozen_cut.weights[0]) == [1, 0]
+        assert frozen_cut.frozen[0].any() and frozen_cut.frozen[1].any()
+        self._check_textbook(
+            frozen_cut, [rng.uniform(-1e-3, 1e-2, frozen_cut.weights[0].shape), 2e-3, 5e-4],
+            rng,
+        )
 
     def _check_textbook(self, net, lams, rng):
         """Five steps of sgd_step against per-layer textbook arithmetic,
@@ -400,20 +408,21 @@ class TestSgdStep:
                 ref_w[l] = ref_w[l] - lr * ref_vw[l]
                 ref_vb[l] = ref_vb[l] * mu + grads.biases[l]
                 ref_b[l] = ref_b[l] - lr * ref_vb[l]
-                if net.frozen[l] is not None:
+                if net.frozen is not None:
                     ref_w[l][net.frozen[l]] = 0.0
                     ref_vw[l][net.frozen[l]] = 0.0
+        vel_w = weight_views(net, opt.flat_vel_w)
         for l in range(len(ref_w)):
             assert np.max(np.abs(net.weights[l] - ref_w[l])) == 0.0
             assert np.max(np.abs(net.biases[l] - ref_b[l])) == 0.0
-            assert np.max(np.abs(opt.vel_w[l] - ref_vw[l])) == 0.0
+            assert np.max(np.abs(vel_w[l] - ref_vw[l])) == 0.0
 
     def test_frozen_weights_pinned_at_zero(self, rng):
         net = Network.initialize(mlp_specs([5]), (4,), 2, seed=8)
-        frozen = np.zeros_like(net.weights[0], dtype=bool)
+        masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
+        frozen = masks[0]
         frozen[0, :] = True
-        net.weights[0][frozen] = 0.0
-        net.frozen[0] = frozen
+        net = with_frozen(net, masks)
         opt = OptimState.for_network(net, 0.05)
         for _ in range(50):
             sgd_step(net, random_grads(net, rng), opt)
@@ -540,22 +549,36 @@ class TestFlatLayout:
         assert all(np.array_equal(a, b) for a, b in zip(copy.weights, pruned.weights))
 
     def test_gradients_velocities_and_penalties_share_the_weights_layout(self, rng):
-        for net in (filter_pruned_net(), small_conv_net(seed=3)):
+        frozen_cut = filter_pruned_net(weight_pruned_net(rng))
+        for net in (filter_pruned_net(), small_conv_net(seed=3), frozen_cut):
             x = rng.standard_normal((6, *net.input_shape))
             _, grads = loss_and_grads(net, x, rng.integers(0, net.classes, 6))
             opt = OptimState.for_network(net, 0.01)
             for l, w in enumerate(net.weights):
                 want = slot(w, net.flat_w)
                 assert slot(grads.weights[l], grads.flat_w) == want
-                assert slot(opt.vel_w[l], opt.flat_vel_w) == want
                 want_b = slot(net.biases[l], net.flat_b)
                 assert slot(grads.biases[l], grads.flat_b) == want_b
+            assert opt.flat_vel_w.shape == net.flat_w.shape
             assert opt.flat_vel_b.shape == net.flat_b.shape
+            # each mask is a view of the one flat mask, at its weight's
+            # offset and strides counted in one-byte elements
+            assert (net.frozen is None) == (net is not frozen_cut)
+            for w, m in zip(net.weights, net.frozen or ()):
+                offset, shape, strides = slot(w, net.flat_w)
+                assert slot(m, net.flat_frozen) == (
+                    offset // 8, shape, tuple(s // 8 for s in strides))
             # each weight's penalty factor sits at that weight's own index
             index = np.arange(net.flat_w.size, dtype=float)
             assert np.array_equal(
                 penalty_for(net, weight_views(net, index)), index
             )
+        # a rebound layer would leave the flat buffers stale
+        clear = np.zeros(frozen_cut.weights[0].shape, dtype=bool)
+        with pytest.raises(TypeError):
+            frozen_cut.frozen[0] = clear
+        with pytest.raises(TypeError):
+            frozen_cut.weights[0] = np.zeros(clear.shape)
 
     @pytest.mark.parametrize("part", ["weight", "bias"])
     def test_constructor_rejects_a_nan(self, part):

@@ -33,6 +33,17 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             QuadraticModel(np.diag([1.0, -0.5]), np.ones(2))
 
+    @pytest.mark.parametrize("h, w, name", [
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], "hessian"),
+        ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0], "hessian"),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0], "w_star"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, -np.inf], "w_star"),
+    ])
+    def test_rejects_non_finite_entries(self, h, w, name):
+        # eigvalsh of a NaN matrix gives NaN eigenvalues, which pass the PSD check
+        with pytest.raises(DomainError, match=f"^{name} holds a NaN or an infinity$"):
+            QuadraticModel(np.array(h), np.array(w))
+
     def test_symmetrizes_with_warning(self):
         h = np.array([[2.0, 0.5], [0.3, 2.0]])
         with pytest.warns(UserWarning, match="asymmetry"):
