@@ -316,18 +316,14 @@ def apply_hard_prune(net: Network, mask: Mask) -> Network:
         biases[l] = np.delete(biases[l], removed)
         specs[l] = replace(spec, units=spec.units - removed.size)
 
-        nxt = specs[l + 1]
-        if nxt.kind == "conv2d":
-            if spec.kind != "conv2d":
-                raise StructureError("dense output feeding conv2d is unsupported")
+        # layer_shapes admits no conv layer after a dense one
+        if spec.kind == "dense":
+            cut(l + 1, removed, 0)
+        elif specs[l + 1].kind == "conv2d":
             cut(l + 1, removed, 1)
         else:
-            if spec.kind == "dense":
-                rows = removed
-            else:
-                block = int(np.prod(shapes[l + 1][0][1:]))
-                rows = (removed[:, None] * block + np.arange(block)[None, :]).ravel()
-            cut(l + 1, rows, 0)
+            block = int(np.prod(shapes[l + 1][0][1:]))
+            cut(l + 1, (removed[:, None] * block + np.arange(block)[None, :]).ravel(), 0)
     try:
         return Network(specs, net.input_shape, net.classes, weights, biases, frozen)
     except (DimensionError, DomainError) as exc:

@@ -73,8 +73,8 @@ class PhaseSchedule:
             raise ConfigError("LR milestones must start at step 0")
         if any(b[0] <= a[0] for a, b in zip(ms, ms[1:])):
             raise ConfigError("LR milestone steps must be strictly increasing")
-        if any(lr <= 0 for _, lr in ms):
-            raise ConfigError("LR values must be positive")
+        if not all(0 < lr < np.inf for _, lr in ms):
+            raise ConfigError("LR values must be finite and > 0")
         object.__setattr__(self, "milestones", ms)
 
     def lr_at(self, step: int) -> float:

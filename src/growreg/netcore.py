@@ -21,21 +21,20 @@ entries that overflow) starts a layer-by-layer search, which names the
 layer or raises nothing.
 
 Everything is float64 numpy. Training runs in one Python thread, and
-training steps use as many BLAS threads as numpy's OpenBLAS is set to.
-:func:`accuracy` runs its forward pass at one BLAS thread and then
-restores the caller's count: an evaluation batch is large enough for
-OpenBLAS to wake a second thread, which then spins between calls and
-doubles the CPU time of a dense run for no wall time, while the batch-64
-step GEMMs of the desk nets stay under OpenBLAS's threading threshold.
-Importing this module changes no thread setting. The count is
-process-wide, so :func:`accuracy` is not meant to run from several Python
-threads at once; other forward passes on a network nobody is mutating are
-safe to run from anywhere.
+matrix products use as many BLAS threads as numpy's BLAS decides; this
+module sets no thread count. :func:`accuracy` runs :func:`forward` on
+slices of ``EVAL_ROWS`` rows. At 64 rows, the batch size of the desk
+training steps, no dense evaluation product is larger than a step's, so
+it stays under OpenBLAS's threading threshold as the steps do; a whole
+512-row validation pass would wake a second thread that then spins
+between calls, doubling the CPU time of a dense run for no wall time.
+Row slices leave every logit bit-identical to one whole-batch pass,
+except a last slice of one row, whose product runs as a
+matrix-vector call and may differ in the last bits.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +44,7 @@ from .errors import DimensionError, DomainError, NumericError
 
 ACTIVATIONS = ("relu", "none")
 LAYER_KINDS = ("dense", "conv2d")
+EVAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -103,28 +103,6 @@ class _Layout:
         for view, a in zip(views, arrays):
             view[...] = a
         return flat, views
-
-
-def _blas_thread_calls():
-    """The thread-count getter and setter of numpy's bundled OpenBLAS.
-
-    They are looked up through numpy's core extension, which links that
-    library. Where it is missing or lacks the symbols (another BLAS, an
-    older numpy), both are no-ops: the getter returns 0 and the setter
-    does nothing, so :func:`accuracy` runs at whatever count is in effect.
-    """
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return (lambda: 0), (lambda n: None)
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-_get_blas_threads, _set_blas_threads = _blas_thread_calls()
 
 
 def _first_non_finite(params):
@@ -213,6 +191,11 @@ class Network:
     def _validate(self, weights, biases, frozen):
         if not self.layers:
             raise DimensionError("network needs at least one layer")
+        for name, arrays in (("weights", weights), ("biases", biases), ("frozen", frozen)):
+            if arrays is not None and len(arrays) != len(self.layers):
+                raise DimensionError(
+                    f"{len(arrays)} {name} arrays for {len(self.layers)} layers"
+                )
         shapes = layer_shapes(self.layers, self.input_shape)
         for l, (spec, (_, expect)) in enumerate(zip(self.layers, shapes)):
             w, b = weights[l], biases[l]
@@ -325,16 +308,19 @@ def forward(net: Network, batch_inputs):
 def accuracy(net: Network, inputs, labels) -> float:
     """Fraction of ``inputs`` whose largest logit is at their label.
 
-    The forward pass runs with numpy's OpenBLAS at one thread, and the
-    count the caller had is restored afterwards, also when it raises.
+    :func:`forward` runs on slices of ``EVAL_ROWS`` rows. ``labels`` must
+    hold one entry per input row, and there must be at least one row.
     """
-    threads = _get_blas_threads()
-    _set_blas_threads(1)
-    try:
-        logits = forward(net, inputs)[0]
-    finally:
-        _set_blas_threads(threads)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    x, y = np.asarray(inputs, dtype=float), np.asarray(labels)
+    n = len(x) if x.ndim else 0
+    if y.shape != (n,):
+        raise DimensionError(f"labels shape {y.shape}, expected ({n},)")
+    if n == 0:
+        raise DimensionError("accuracy needs at least one input row")
+    hits = sum(np.count_nonzero(np.argmax(forward(net, x[i:i + EVAL_ROWS])[0], axis=1)
+                                == y[i:i + EVAL_ROWS])
+               for i in range(0, n, EVAL_ROWS))
+    return hits / n
 
 
 def softmax_cross_entropy(logits, labels):

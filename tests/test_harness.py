@@ -128,6 +128,9 @@ class TestPhaseSchedule:
             PhaseSchedule(steps=10, batch_size=8, milestones=((5, 1e-2),))
         with pytest.raises(ConfigError):
             PhaseSchedule(steps=10, batch_size=8, milestones=((0, 1e-2), (0, 1e-3)))
+        for lr in (0.0, -1e-2, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="^LR values must be finite and > 0$"):
+                PhaseSchedule(steps=10, batch_size=8, milestones=((0, 1e-2), (5, lr)))
 
 
 class TestPretrain:

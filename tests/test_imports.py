@@ -34,6 +34,9 @@ def test_import_leaves_the_blas_thread_count_alone():
         "get = getattr(lib, 'scipy_openblas_get_num_threads64_', lambda: 0)\n"
         "before = get()\n"
         f"import {', '.join('growreg.' + m for m in MODULES)}\n"
+        "from growreg.netcore import LayerSpec, Network, accuracy\n"
+        "net = Network.initialize((LayerSpec('dense', 2, activation='none'),), (2,), 2)\n"
+        "accuracy(net, numpy.ones((512, 2)), numpy.zeros(512, int))\n"
         "print(before, get())\n"
     )
     assert result.returncode == 0, result.stderr

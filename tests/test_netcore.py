@@ -5,7 +5,6 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import mlp_specs, penalty_for, small_conv_net, weight_views, with_frozen
-from growreg import netcore
 from growreg.errors import DimensionError, DomainError, NumericError
 from growreg.groups import Mask, apply_hard_prune, group_counts
 from growreg.netcore import (
@@ -587,6 +586,22 @@ class TestFlatLayout:
         with pytest.raises(NumericError, match=f"^non-finite {part} values$"):
             Network((LayerSpec("dense", 2, activation="none"),), (2,), 2, [w], [b])
 
+    @pytest.mark.parametrize("counts, message", [
+        ((3, 3, None), "^3 weights arrays for 2 layers$"),
+        ((1, 1, None), "^1 weights arrays for 2 layers$"),
+        ((2, 3, None), "^3 biases arrays for 2 layers$"),
+        ((2, 2, 1), "^1 frozen arrays for 2 layers$"),
+    ], ids=["extra-arrays", "missing-arrays", "extra-bias", "missing-mask"])
+    def test_constructor_rejects_an_array_count_other_than_the_layers(self, counts, message):
+        # 2 -> 3 -> 2, given arrays for a third layer 2 -> 2 or lacking the second
+        shapes = [(2, 3), (3, 2), (2, 2)]
+        n_w, n_b, n_frozen = counts
+        weights = [np.ones(s) for s in shapes[:n_w]]
+        biases = [np.zeros(s[1]) for s in shapes[:n_b]]
+        frozen = None if n_frozen is None else [np.zeros(s, bool) for s in shapes[:n_frozen]]
+        with pytest.raises(DimensionError, match=message):
+            Network(mlp_specs([3]), (2,), 2, weights, biases, frozen)
+
     def test_constructor_rejects_a_nonzero_weight_under_a_frozen_flag(self):
         w, frozen = np.eye(2), np.zeros((2, 2), dtype=bool)
         frozen[0, 1] = True
@@ -633,39 +648,29 @@ class TestDeterminism:
         assert accuracy(net, x, np.array([1, 1, 0, 1])) == 0.75
 
 
-@pytest.mark.skipif(netcore._get_blas_threads() == 0,
-                    reason="numpy's bundled OpenBLAS thread calls not found")
-class TestAccuracyBlasThreads:
-    @pytest.fixture
-    def two_threads(self):
-        before = netcore._get_blas_threads()
-        netcore._set_blas_threads(2)
-        yield
-        netcore._set_blas_threads(before)
+class TestAccuracy:
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200, 512])
+    @pytest.mark.parametrize("make_net", [
+        lambda: Network.initialize(mlp_specs([64, 48, 32]), (2,), 2, seed=5),
+        lambda: small_conv_net(seed=2),
+    ], ids=["desk", "conv"])
+    def test_equals_the_argmax_of_forward(self, make_net, rows, rng):
+        net = make_net()
+        x = rng.standard_normal((rows, *net.input_shape))
+        y = rng.integers(0, net.classes, rows)
+        expect = np.mean(np.argmax(forward(net, x)[0], axis=1) == y)
+        assert accuracy(net, x, y) == expect
 
-    def test_forward_runs_at_one_thread_then_the_count_is_restored(
-            self, two_threads, monkeypatch, rng):
-        seen = []
+    @pytest.mark.parametrize("rows, labels", [
+        (6, [1]), (6, [0, 1, 0, 1, 0]), (70, np.zeros(71, int)),
+        (6, np.zeros((6, 1), int)), (0, []),
+    ], ids=["length-1", "one-short", "one-over", "column", "empty"])
+    def test_labels_must_match_the_rows(self, rows, labels):
+        net = Network.initialize(mlp_specs([4]), (2,), 2, seed=0)
+        with pytest.raises(DimensionError):
+            accuracy(net, np.ones((rows, 2)), np.asarray(labels))
 
-        def recording_forward(net, inputs):
-            seen.append(netcore._get_blas_threads())
-            return forward(net, inputs)
-
-        monkeypatch.setattr(netcore, "forward", recording_forward)
-        net = small_conv_net(seed=2)
-        accuracy(net, rng.standard_normal((8, *net.input_shape)), np.zeros(8, int))
-        assert seen == [1]
-        assert netcore._get_blas_threads() == 2
-
-    def test_restores_the_count_when_forward_raises(self, two_threads):
+    def test_input_of_another_shape_raises(self):
         net = small_conv_net(seed=2)
         with pytest.raises(DimensionError):
             accuracy(net, np.zeros((4, 3)), np.zeros(4, int))
-        assert netcore._get_blas_threads() == 2
-
-    def test_equals_the_argmax_of_forward(self, rng):
-        net = Network.initialize(mlp_specs([64, 48, 32]), (2,), 2, seed=5)
-        x = rng.standard_normal((512, 2))
-        y = rng.integers(0, 2, 512)
-        expect = np.mean(np.argmax(forward(net, x)[0], axis=1) == y)
-        assert accuracy(net, x, y) == expect
