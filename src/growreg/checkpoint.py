@@ -15,7 +15,8 @@ indices of layers carrying frozen-weight masks (``[]`` or every index: a
 network masks all its layers or none), and the blob directory (name,
 shape, dtype string) that topology implies: ``w{l}`` and ``b{l}`` per
 layer, ``<f8``, then ``fz{l}`` per frozen layer, ``|u1`` bytes of 0 or 1.
-A loaded directory must be exactly that one, in file order.
+A loaded directory must be exactly that one, in file order, and a header
+holding any other top-level key is rejected.
 Identical networks produce byte-identical files. Version 1 files, which
 could also carry velocities and a schedule-state document, are rejected.
 """
@@ -29,12 +30,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import LAYER_KEYS, field, ints, parse_layers
+from .config import LAYER_TYPES, check_keys, ints, parse_layers
 from .errors import ConfigError, DimensionError, InputError
 from .netcore import Network, layer_shapes
 
 MAGIC = b"GREGCKPT"
 VERSION = 2
+_HEADER_TYPES = {"input_shape": list, "classes": int, "layers": list, "blobs": list,
+                 "frozen_layers": list}
 
 
 def _canonical(doc) -> bytes:
@@ -84,10 +87,9 @@ def _parse_header(text, path):
     except ValueError as exc:  # bad UTF-8 or JSON, an int past Python's digit limit
         raise ConfigError(f"{path}: unreadable checkpoint header ({exc})") from exc
     where = f"{path}: checkpoint header"
+    check_keys(header, _HEADER_TYPES, _HEADER_TYPES.keys(), where)
     input_shape = ints(header, "input_shape", where)
-    field(header, "classes", int, where)
-    layers = parse_layers(field(header, "layers", list, where), f"{where}.layers",
-                          LAYER_KEYS)
+    layers = parse_layers(header["layers"], f"{where}.layers", LAYER_TYPES.keys())
     frozen = ints(header, "frozen_layers", where)
     if frozen not in ([], list(range(len(layers)))):
         raise ConfigError(f"{where}: frozen_layers {frozen} are neither [] nor "
@@ -97,8 +99,8 @@ def _parse_header(text, path):
     except DimensionError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     # compared as JSON text, so a shape of 2.0 or true does not pass for 2 or 1
-    if _canonical(header.get("blobs")) != _canonical(blobs):
-        raise ConfigError(f"{where}: blobs {header.get('blobs')} do not match the "
+    if _canonical(header["blobs"]) != _canonical(blobs):
+        raise ConfigError(f"{where}: blobs {header['blobs']} do not match the "
                           f"declared layers, expected {blobs}")
     return header, layers, blobs
 

@@ -7,8 +7,10 @@ values and non-finite numbers are rejected, naming the field path. A
 override it; a preset passed to :func:`load_config` replaces the
 document's key. ``desk`` finishes in minutes on toy nets, ``paper`` carries
 the reference constants (very long ramps; documented, not meant for CI).
-The JSON checks (:func:`field`, :func:`ints`, :func:`parse_layers`) also
-serve checkpoint headers.
+Each dataclass-backed section (a layer, a phase, ``reg`` and the
+experiment's optional scalars) takes its keys, JSON types and required keys
+from the dataclass fields. The JSON checks (:func:`field`, :func:`ints`,
+:func:`check_keys`, :func:`parse_layers`) also serve checkpoint headers.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 
 from .errors import ConfigError, InputError
 from .harness import ExperimentConfig, PhaseSchedule
@@ -44,53 +47,37 @@ DESK_REG = {
 
 PRESETS = {"desk": DESK_REG, "paper": PAPER_REG}
 
-_TOP_KEYS = {"schema_version", "preset", "experiment"}
-_EXP_REQUIRED = {"net", "dataset", "plan", "method", "pretrain", "finetune"}
-# passed to ExperimentConfig as given; absent keys take its defaults
-_EXP_OPTIONAL = {
-    "granularity",
-    "reg_batch_size",
-    "reg_lr",
-    "reg_momentum",
-    "reg_max_iters",
-    "seed",
-    "metric_every",
-}
-_EXP_KEYS = _EXP_REQUIRED | _EXP_OPTIONAL | {"reg"}
-_NET_KEYS = {"input_shape", "classes", "layers"}
-LAYER_KEYS = {"kind", "units", "kernel", "activation", "prunable"}
-_PHASE_KEYS = {"steps", "batch_size", "milestones", "momentum"}
-_REG_KEYS = {
-    "delta_lambda",
-    "tau",
-    "tau_prime",
-    "k_update",
-    "k_stabilize",
-    "base_decay",
-    "post_pick_delta_lambda",
-}
-_DATASET_KEYS = {
-    "blobs": {"kind", "n_train", "n_val", "seed", "noise", "classes"},
-    "moons": {"kind", "n_train", "n_val", "seed", "noise"},
-    "spirals": {"kind", "n_train", "n_val", "seed", "noise"},
-    "csv": {"kind", "path", "n_val", "seed"},
-}
 _NUMBER = (int, float)
-# the JSON type(s) of each key, wherever it appears
-_TYPES = {
-    **dict.fromkeys(("schema_version", "classes", "units", "steps", "batch_size",
-                     "k_update", "k_stabilize", "reg_batch_size", "reg_max_iters",
-                     "seed", "metric_every", "n_train", "n_val"), int),
-    **dict.fromkeys(("delta_lambda", "tau", "base_decay", "momentum", "reg_lr",
-                     "reg_momentum", "noise"), _NUMBER),
-    **dict.fromkeys(("tau_prime", "post_pick_delta_lambda"), _NUMBER + (type(None),)),
-    **dict.fromkeys(("kind", "activation", "plan", "method", "granularity", "path"), str),
-    **dict.fromkeys(("experiment", "net", "dataset", "pretrain", "finetune"), dict),
-    **dict.fromkeys(("input_shape", "layers", "milestones"), list),
-    "preset": (str, type(None)),
-    "reg": (dict, type(None)),
-    "kernel": (list, type(None)),
-    "prunable": bool,
+# the JSON types of a dataclass field's annotation, read as source text: the
+# modules that define the dataclasses postpone annotation evaluation
+_JSON = {"int": (int,), "float": _NUMBER, "str": (str,), "bool": (bool,), "tuple": (list,)}
+
+
+def _schema(flds):
+    """``({key: JSON types}, required keys)`` of dataclass fields: null is
+    allowed where the default is None, and a field without a default is required."""
+    types = {f.name: _JSON[f.type] + ((type(None),) if f.default is None else ())
+             for f in flds}
+    return types, {f.name for f in flds if f.default is MISSING}
+
+
+LAYER_TYPES, LAYER_REQUIRED = _schema(fields(LayerSpec))
+_PHASE_TYPES, _PHASE_REQUIRED = _schema(fields(PhaseSchedule))
+_REG_TYPES, _REG_REQUIRED = _schema(fields(RegConfig))
+# passed to ExperimentConfig as given; absent keys take its defaults
+_EXP_OPTIONAL, _ = _schema([f for f in fields(ExperimentConfig)
+                            if f.init and f.default is not MISSING])
+_TOP_TYPES = {"schema_version": int, "preset": (str, type(None)), "experiment": dict}
+_EXP_REQUIRED = {"net": dict, "dataset": dict, "plan": str, "method": str,
+                 "pretrain": dict, "finetune": dict}
+_EXP_TYPES = {**_EXP_REQUIRED, **_EXP_OPTIONAL, "reg": (dict, type(None))}
+_NET_TYPES = {"input_shape": list, "classes": int, "layers": list}
+_GENERATED = {"kind": str, "n_train": int, "n_val": int, "seed": int, "noise": _NUMBER}
+_DATASET_TYPES = {
+    "blobs": {**_GENERATED, "classes": int},
+    "moons": _GENERATED,
+    "spirals": _GENERATED,
+    "csv": {"kind": str, "path": str, "n_val": int, "seed": int},
 }
 
 
@@ -118,19 +105,20 @@ def ints(doc, key, where):
     return vals
 
 
-def _check_keys(doc, allowed, required, where):
-    """Reject a non-object, unknown or missing keys, and mistyped values."""
+def check_keys(doc, types, required, where):
+    """Reject a non-object, keys outside ``types`` or missing from ``required``,
+    values not of their key's JSON types, and non-finite numbers."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - allowed
+    unknown = set(doc) - types.keys()
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     missing = required - set(doc)
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
-    for key in doc:
-        val = field(doc, key, _TYPES[key], where)
-        if _TYPES[key] is not int and type(val) in _NUMBER:
+    for key, val in doc.items():
+        field(doc, key, types[key], where)
+        if type(val) in _NUMBER and isinstance(0.0, types[key]):  # a float key
             _finite(val, f"{where}.{key}")
 
 
@@ -143,11 +131,11 @@ def _finite(val, where):
 
 def parse_layers(docs, where, required):
     """``LayerSpec``s from a list of layer documents, each holding the keys in
-    ``required`` and no key outside ``LAYER_KEYS``; errors name ``where[i]``."""
+    ``required`` and no key outside ``LAYER_TYPES``; errors name ``where[i]``."""
     specs = []
     for i, entry in enumerate(docs):
         at = f"{where}[{i}]"
-        _check_keys(entry, LAYER_KEYS, required, at)
+        check_keys(entry, LAYER_TYPES, required, at)
         if entry.get("kernel"):
             ints(entry, "kernel", at)
         try:
@@ -158,7 +146,7 @@ def parse_layers(docs, where, required):
 
 
 def _phase_from(doc, where):
-    _check_keys(doc, _PHASE_KEYS, {"steps", "batch_size", "milestones"}, where)
+    check_keys(doc, _PHASE_TYPES, _PHASE_REQUIRED, where)
     for j, m in enumerate(doc["milestones"]):
         # type() excludes JSON booleans, which isinstance counts as ints
         if not (isinstance(m, list) and len(m) == 2 and type(m[0]) is int
@@ -179,7 +167,7 @@ def _reg_from(doc, preset, method, where):
         key = "greg2" if method == "greg2" else "greg1"
         base = dict(PRESETS[preset][key])
     if doc is not None:
-        _check_keys(doc, _REG_KEYS, set() if base else {"delta_lambda", "tau"}, where)
+        check_keys(doc, _REG_TYPES, set() if base else _REG_REQUIRED, where)
         base.update(doc)
     if not base:
         raise ConfigError(f"{where}: give reg constants or a preset")
@@ -191,27 +179,27 @@ def _reg_from(doc, preset, method, where):
 
 def config_from_dict(doc, preset=None) -> ExperimentConfig:
     """Validated experiment; ``preset`` stands in for the document's key."""
-    _check_keys(doc, _TOP_KEYS, {"schema_version", "experiment"}, "config")
+    check_keys(doc, _TOP_TYPES, {"schema_version", "experiment"}, "config")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']}"
         )
     exp = doc["experiment"]
-    _check_keys(exp, _EXP_KEYS, _EXP_REQUIRED, "experiment")
+    check_keys(exp, _EXP_TYPES, _EXP_REQUIRED.keys(), "experiment")
 
     net = exp["net"]
-    _check_keys(net, _NET_KEYS, _NET_KEYS, "experiment.net")
+    check_keys(net, _NET_TYPES, _NET_TYPES.keys(), "experiment.net")
     input_shape = tuple(ints(net, "input_shape", "experiment.net"))
-    layers = parse_layers(net["layers"], "experiment.net.layers", {"kind", "units"})
+    layers = parse_layers(net["layers"], "experiment.net.layers", LAYER_REQUIRED)
 
     ds = exp["dataset"]
     kind = field(ds, "kind", str, "experiment.dataset")
-    if kind not in _DATASET_KEYS:
+    if kind not in _DATASET_TYPES:
         raise ConfigError(
-            f"experiment.dataset.kind: must be one of {sorted(_DATASET_KEYS)}"
+            f"experiment.dataset.kind: must be one of {sorted(_DATASET_TYPES)}"
         )
     required = {"kind", "n_val"} | ({"n_train"} if kind != "csv" else set())
-    _check_keys(ds, _DATASET_KEYS[kind], required, "experiment.dataset")
+    check_keys(ds, _DATASET_TYPES[kind], required, "experiment.dataset")
     for key, low in (("n_train", 1), ("n_val", 1), ("seed", 0)):
         if key in ds and ds[key] < low:
             raise ConfigError(f"experiment.dataset.{key}: must be >= {low}, got {ds[key]}")

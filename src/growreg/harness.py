@@ -1,9 +1,10 @@
 """End-to-end experiment pipelines: pretrain, regularize, prune, fine-tune.
 
-An ``ExperimentConfig`` is checked when it is built: its plan against its
-layers for every method, and a ramp's ``ramp_length`` against
-``reg_max_iters``. Every phase runs through one SGD loop, which takes the
-ramp's penalties from one scheduler tick per step.
+An ``ExperimentConfig`` is checked when it is built: its layer chain
+against its input shape (``layer_shapes``), its plan against its layers for
+every method, and a ramp's ``ramp_length`` against ``reg_max_iters``.
+Every phase runs through one SGD loop, which takes the ramp's penalties
+from one scheduler tick per step.
 
 The harness owns the comparison protocols. A same-set comparison runs the
 ramped schedule and one-shot pruning from one shared baseline with the
@@ -38,7 +39,7 @@ from .groups import (
     sparsity,
     validate_plan_against,
 )
-from .netcore import Network, OptimState, accuracy, loss_and_grads, sgd_step
+from .netcore import Network, OptimState, accuracy, layer_shapes, loss_and_grads, sgd_step
 from .scheduler import (
     RAMPED,
     RegConfig,
@@ -120,6 +121,7 @@ class ExperimentConfig:
             raise ConfigError(f"reg_momentum must lie in [0, 1), got {self.reg_momentum}")
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        layer_shapes(self.layers, self.input_shape)
         plan = parse_pruning_plan(self.plan, len(self.layers), self.granularity)
         validate_plan_against(self.layers, plan)
         object.__setattr__(self, "pruning_plan", plan)

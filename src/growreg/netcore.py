@@ -69,7 +69,9 @@ class LayerSpec:
                 raise DomainError("conv2d layer needs a (kh, kw) kernel")
             if min(self.kernel) < 1:
                 raise DomainError(f"kernel dims must be >= 1, got {self.kernel}")
-        object.__setattr__(self, "kernel", tuple(self.kernel) if self.kernel else None)
+            object.__setattr__(self, "kernel", tuple(self.kernel))
+        elif self.kernel is not None:
+            raise DomainError(f"dense layer takes no kernel, got {self.kernel}")
 
 
 class _Layout:
@@ -231,9 +233,12 @@ class Network:
 
 
 def layer_shapes(layers, input_shape):
-    """Each layer's ``(input shape, weight shape)``; raises on incompatible chains."""
-    shapes = []
+    """Each layer's ``(input shape, weight shape)``; raises on an input
+    dimension below 1 or an incompatible chain."""
     current = tuple(input_shape)
+    if min(current, default=1) < 1:
+        raise DimensionError(f"input_shape dims must be >= 1, got {current}")
+    shapes = []
     for l, spec in enumerate(layers):
         if spec.kind == "dense":
             w_shape = (math.prod(current), spec.units)

@@ -286,3 +286,30 @@ def test_frozen_layers_neither_none_nor_every_layer_rejected(tmp_path, frozen):
     with pytest.raises(ConfigError, match=r"fz.ckpt: checkpoint header: frozen_layers \[.*"
                                           r"neither \[\] nor every index of the 2 layers$"):
         load_checkpoint(path)
+
+
+def _without_w0(raw):
+    """``raw`` with its input shape 0 and the empty ``w0`` that shape implies."""
+    data = blob_data(raw)
+
+    def zero_input(header):
+        header["input_shape"] = [0]
+        header["blobs"][0]["shape"] = [0, 3]
+
+    return rewrite(raw, zero_input, b"".join(v for k, v in data.items() if k != "w0"))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda raw: rewrite(raw, lambda h: h.update(note=1)),
+     r"checkpoint header: unknown keys \['note'\]$"),
+    (lambda raw: rewrite(raw, lambda h: h["layers"][0].update(kernel=[3, 3])),
+     r"checkpoint header\.layers\[0\]: dense layer takes no kernel, got \[3, 3\]$"),
+    (lambda raw: rewrite(raw, lambda h: h["layers"][1].update(kernel=[])),
+     r"checkpoint header\.layers\[1\]: dense layer takes no kernel, got \[\]$"),
+    (_without_w0, r"checkpoint header: input_shape dims must be >= 1, got \(0,\)$"),
+], ids=["unknown-top-level-key", "dense-kernel", "dense-empty-kernel", "zero-input-dim"])
+def test_header_the_writer_never_emits_rejected(tmp_path, make, message):
+    path = tmp_path / "head.ckpt"
+    path.write_bytes(make(checkpoint_bytes(frozen_net(25, frozen=False))))
+    with pytest.raises(ConfigError, match=r"head\.ckpt: " + message):
+        load_checkpoint(path)

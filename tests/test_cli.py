@@ -73,6 +73,14 @@ class TestOracle:
         report = (out / "oracle_report.csv").read_text().strip().splitlines()
         assert max(float(r.rsplit(",", 1)[1]) for r in report[1:]) < 1e-8
 
+    def test_residual_over_tolerance_exits_4_keeping_report(self, runner, tmp_path):
+        out = tmp_path / "oracle"
+        result = runner.invoke(main, ["oracle", "--dim", "3", "--cases", "2",
+                                      "--tol", "1e-300", "--out", str(out)])
+        assert result.exit_code == 4, result.output
+        assert result.output.endswith("error: residual exceeds tolerance\n")
+        assert len((out / "oracle_report.csv").read_text().splitlines()) == 1 + 2 * 2
+
     def test_non_psd_matrix_rejected(self, runner, tmp_path):
         bad = tmp_path / "nonpsd.txt"
         np.savetxt(bad, np.array([[1.0, 0.0], [0.0, -2.0]]))
@@ -297,6 +305,19 @@ class TestPipelineCommands:
             outs.append(out)
         assert (outs[0] / "record.csv").read_bytes() == (outs[1] / "record.csv").read_bytes()
         assert (outs[0] / "summary.csv").read_bytes() == (outs[1] / "summary.csv").read_bytes()
+
+    def test_diverging_run_exits_3(self, runner, tmp_path):
+        # greg1_desk on a small dataset, pretrained at a learning rate of 1e150
+        doc = json.loads((CONFIG_DIR / "greg1_desk.json").read_text())
+        exp = doc["experiment"]
+        exp["dataset"].update(n_train=64, n_val=32)
+        exp["pretrain"] = {"steps": 20, "batch_size": 16, "milestones": [[0, 1e150]]}
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out",
+                                      str(tmp_path / "run")])
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: loss is not finite (nan)\n"
 
     def test_seed_flag_changes_outputs(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -532,6 +553,31 @@ class TestValidationExitCodes:
         assert len(result.output.strip().splitlines()) == 1
         assert message in result.output
         assert not out.exists()  # the output directory follows the load
+
+    @pytest.mark.parametrize("net, message", [
+        ({"input_shape": [0]}, "experiment: input_shape dims must be >= 1, got (0,)"),
+        ({"input_shape": [1, 2, 2], "layers.0.kind": "conv2d", "layers.0.kernel": [3, 3]},
+         "experiment: conv2d layer 0: kernel (3, 3) larger than input (1, 2, 2)"),
+        ({"layers.1.kernel": [3, 3]},
+         "experiment.net.layers[1]: dense layer takes no kernel, got [3, 3]"),
+        ({"layers.1.kernel": []}, "experiment.net.layers[1]: dense layer takes no kernel"),
+    ], ids=["zero-input-dim", "conv-kernel-over-input", "dense-kernel", "dense-empty-kernel"])
+    def test_bad_layer_chain_exits_2_before_any_work(self, runner, tmp_path, net, message):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        for path, value in net.items():
+            *parents, key = path.split(".")
+            node = doc["experiment"]["net"]
+            for name in parents:
+                node = node[int(name)] if name.isdigit() else node[name]
+            node[key] = value
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert message in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("literal", [b"1" + b"0" * 4999, b'"\xff"'],
                              ids=["5000-digit-integer", "non-utf8-string"])

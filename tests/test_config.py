@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growreg import config
 from growreg.config import PRESETS, config_from_dict, load_config
 from growreg.errors import ConfigError
 from growreg.harness import METHODS
@@ -40,6 +41,36 @@ def minimal_doc(**overrides):
     doc["experiment"].update(overrides.pop("experiment", {}))
     doc.update(overrides)
     return doc
+
+
+NUM = {"int", "float"}
+# each dataclass-backed section written out: accepted keys with their JSON
+# types, and required keys
+SECTIONS = {
+    "layer": ({"kind": {"str"}, "units": {"int"}, "kernel": {"list", "NoneType"},
+               "activation": {"str"}, "prunable": {"bool"}}, {"kind", "units"}),
+    "phase": ({"steps": {"int"}, "batch_size": {"int"}, "milestones": {"list"},
+               "momentum": NUM}, {"steps", "batch_size", "milestones"}),
+    "reg": ({"delta_lambda": NUM, "tau": NUM, "tau_prime": NUM | {"NoneType"},
+             "k_update": {"int"}, "k_stabilize": {"int"}, "base_decay": NUM,
+             "post_pick_delta_lambda": NUM | {"NoneType"}}, {"delta_lambda", "tau"}),
+    "experiment optional": ({"granularity": {"str"}, "reg_batch_size": {"int"},
+                             "reg_lr": NUM, "reg_momentum": NUM, "reg_max_iters": {"int"},
+                             "seed": {"int"}, "metric_every": {"int"}}, set()),
+}
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_section_schema_read_from_dataclass(section):
+    types, required = {
+        "layer": (config.LAYER_TYPES, config.LAYER_REQUIRED),
+        "phase": (config._PHASE_TYPES, config._PHASE_REQUIRED),
+        "reg": (config._REG_TYPES, config._REG_REQUIRED),
+        "experiment optional": (config._EXP_OPTIONAL,
+                                config._EXP_OPTIONAL.keys() & config._EXP_REQUIRED.keys()),
+    }[section]
+    assert {k: {t.__name__ for t in v} for k, v in types.items()} == SECTIONS[section][0]
+    assert set(required) == SECTIONS[section][1]
 
 
 def test_minimal_document_parses():

@@ -1,5 +1,7 @@
 """Grouping, scoring, mask selection, plan parsing, physical pruning."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,21 @@ class TestPlanParsing:
     def test_mixed_forms_rejected(self):
         with pytest.raises(PlanError):
             parse_pruning_plan("[0.5, 1-2:0.5]", 3)
+
+    @pytest.mark.parametrize("text, n, message", [
+        ("0, 0.5", 2, "must be bracketed"),
+        ("[0, 0.5", 2, "must be bracketed"),
+        ("[]", 2, "empty plan string"),
+        ("[ ]", 2, "empty plan string"),
+        ("[0:0, x:0.5]", 2, "malformed range entry 'x:0.5'"),
+        ("[0:0, 2-1:0.5]", 3, "descending range in '2-1:0.5'"),
+        ("[0:0, 1-3:0.5]", 3, "entry '1-3:0.5' exceeds layer count 3"),
+        ("[0:0, 1:1.2.3]", 2, "bad ratio in '1:1.2.3'"),
+        ("[0, abc]", 2, "bad ratio in plan"),
+    ])
+    def test_malformed_plan_rejected(self, text, n, message):
+        with pytest.raises(PlanError, match=re.escape(message)):
+            parse_pruning_plan(text, n)
 
     def test_roundtrip_identity(self):
         for text, n in [
