@@ -3,26 +3,26 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic ``b"GREGCKPT"``
-    bytes 8..11   format version, uint32 (currently 2)
+    bytes 8..11   format version, uint32 (currently 3)
     bytes 12..19  header length N, uint64
     bytes 20..    N bytes of canonical UTF-8 JSON (sorted keys, no spaces)
-    then          raw parameter blobs, concatenated in header order
+    then          raw parameter blobs, concatenated in file order
 
 A checkpoint holds a network and nothing else: no command resumes a run
 mid-ramp, so optimizer velocities and schedule state are not stored. The
-header lists the topology (input shape, class count, layer specs), the
-indices of layers carrying frozen-weight masks (``[]`` or every index: a
-network masks all its layers or none), and the blob directory (name,
-shape, dtype string) that topology implies: ``w{l}`` and ``b{l}`` per
-layer, ``<f8``, then ``fz{l}`` per frozen layer, ``|u1`` bytes of 0 or 1.
-A loaded directory must be exactly that one, in file order, and a header
-holding any other top-level key is rejected.
-Identical networks produce byte-identical files. Version 1 files, which
-could also carry velocities and a schedule-state document, are rejected.
+header holds exactly the topology (input shape, class count, layer specs),
+``frozen``, a boolean saying whether the network carries frozen-weight
+masks (for all its layers or for none), and ``sha256``, the hex digest of
+all the blob bytes. The topology implies the blobs: ``w{l}`` and ``b{l}``
+per layer, ``<f8``, then, when frozen, ``fz{l}`` per layer, ``|u1`` bytes
+of 0 or 1 in the weight's shape.
+Identical networks produce byte-identical files. Files of versions 1 and
+2 are rejected.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -35,42 +35,35 @@ from .errors import ConfigError, DimensionError, InputError
 from .netcore import Network, layer_shapes
 
 MAGIC = b"GREGCKPT"
-VERSION = 2
-_HEADER_TYPES = {"input_shape": list, "classes": int, "layers": list, "blobs": list,
-                 "frozen_layers": list}
+VERSION = 3
+_HEADER_TYPES = {"input_shape": list, "classes": int, "layers": list, "frozen": bool,
+                 "sha256": str}
 
 
-def _canonical(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _blobs(layers, input_shape, frozen_layers):
-    """The blob directory a topology implies, in file order."""
-    blobs = []
-    for l, (spec, (_, w_shape)) in enumerate(zip(layers, layer_shapes(layers, input_shape))):
-        blobs.append({"name": f"w{l}", "shape": list(w_shape), "dtype": "<f8"})
-        blobs.append({"name": f"b{l}", "shape": [spec.units], "dtype": "<f8"})
-    blobs.extend({"name": f"fz{l}", "shape": blobs[2 * l]["shape"], "dtype": "|u1"}
-                 for l in frozen_layers)
+def _blobs(layers, input_shape, frozen):
+    """``(name, shape, dtype)`` of each blob a topology implies, in file order."""
+    w_shapes = [w for _, w in layer_shapes(layers, input_shape)]
+    blobs = [blob for l, (spec, w) in enumerate(zip(layers, w_shapes))
+             for blob in ((f"w{l}", w, "<f8"), (f"b{l}", (spec.units,), "<f8"))]
+    if frozen:
+        blobs += [(f"fz{l}", w, "|u1") for l, w in enumerate(w_shapes)]
     return blobs
 
 
 def checkpoint_bytes(net: Network) -> bytes:
-    frozen_layers = [] if net.frozen is None else list(range(len(net.layers)))
-    blobs = _blobs(net.layers, net.input_shape, frozen_layers)
+    blobs = _blobs(net.layers, net.input_shape, net.frozen is not None)
     arrays = [a for pair in zip(net.weights, net.biases) for a in pair] + list(net.frozen or ())
+    data = b"".join(np.ascontiguousarray(a, dtype).tobytes()
+                    for a, (_, _, dtype) in zip(arrays, blobs))
     header = {
         "input_shape": list(net.input_shape),
         "classes": net.classes,
         "layers": [asdict(s) for s in net.layers],
-        "blobs": blobs,
-        "frozen_layers": frozen_layers,
+        "frozen": net.frozen is not None,
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
-    head = _canonical(header)
-    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(head)), head]
-    parts.extend(np.ascontiguousarray(a, dtype=blob["dtype"]).tobytes()
-                 for a, blob in zip(arrays, blobs))
-    return b"".join(parts)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join([MAGIC, struct.pack("<IQ", VERSION, len(head)), head, data])
 
 
 def save_checkpoint(path, net: Network):
@@ -81,7 +74,7 @@ def save_checkpoint(path, net: Network):
 
 
 def _parse_header(text, path):
-    """The checked header, its layer specs and the blob directory they imply."""
+    """The checked header, its layer specs and the blobs they imply."""
     try:
         header = json.loads(text.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON, an int past Python's digit limit
@@ -90,19 +83,10 @@ def _parse_header(text, path):
     check_keys(header, _HEADER_TYPES, _HEADER_TYPES.keys(), where)
     input_shape = ints(header, "input_shape", where)
     layers = parse_layers(header["layers"], f"{where}.layers", LAYER_TYPES.keys())
-    frozen = ints(header, "frozen_layers", where)
-    if frozen not in ([], list(range(len(layers)))):
-        raise ConfigError(f"{where}: frozen_layers {frozen} are neither [] nor "
-                          f"every index of the {len(layers)} layers")
     try:
-        blobs = _blobs(layers, input_shape, frozen)
+        return header, layers, _blobs(layers, input_shape, header["frozen"])
     except DimensionError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    # compared as JSON text, so a shape of 2.0 or true does not pass for 2 or 1
-    if _canonical(header["blobs"]) != _canonical(blobs):
-        raise ConfigError(f"{where}: blobs {header['blobs']} do not match the "
-                          f"declared layers, expected {blobs}")
-    return header, layers, blobs
 
 
 def load_checkpoint(path):
@@ -113,15 +97,20 @@ def load_checkpoint(path):
     three values, such as the benchmark's checkpoint round trip, keep
     working; a later change can return the network alone.
 
-    A malformed file raises ``ConfigError`` naming ``path``. That includes
-    a version-1 file, a float blob (weights or biases) holding a NaN or
-    an infinity and a frozen-mask blob holding a byte other than 0 or 1,
-    both of which name the blob too, and a nonzero weight under a frozen
-    flag, which names the layer. Blobs carry no checksum, so any other
-    corrupted value loads as written.
+    A file that cannot be read or is malformed raises ``ConfigError``
+    naming ``path``. That includes a file of another version, a header
+    holding any key but the five it declares, and blob bytes whose sha256
+    differs from the header's, so a corrupted value never loads. A file
+    signed again after an edit is still checked: a float blob holding a
+    NaN or an infinity and a frozen-mask blob holding a byte other than 0
+    or 1 name the blob too, and a nonzero weight under a frozen flag names
+    the layer.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     if raw[:8] != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
 
@@ -130,27 +119,27 @@ def load_checkpoint(path):
             raise ConfigError(f"{path}: truncated, {what} ends past byte {len(raw)}")
 
     need(20, "the fixed header")
-    (version,) = struct.unpack("<I", raw[8:12])
+    version, hlen = struct.unpack("<IQ", raw[8:20])
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", raw[12:20])
     need(20 + hlen, "the JSON header")
     header, layers, blobs = _parse_header(raw[20 : 20 + hlen], path)
     offset = 20 + hlen
     arrays = []
-    for blob in blobs:
-        dt = np.dtype(blob["dtype"])
-        count = math.prod(blob["shape"])
-        need(offset + count * dt.itemsize, f"blob {blob['name']}")
-        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
-        if dt.kind == "f" and not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{path}: blob {blob['name']} holds non-finite values")
-        if dt.kind == "u" and arr.max(initial=0) > 1:
-            raise ConfigError(f"{path}: blob {blob['name']} holds values other than 0 and 1")
-        arrays.append(arr.reshape(blob["shape"]))
-        offset += arr.nbytes
+    for name, shape, dtype in blobs:
+        count = math.prod(shape)
+        need(offset + count * np.dtype(dtype).itemsize, f"blob {name}")
+        arrays.append(np.frombuffer(raw, dtype, count, offset).reshape(shape))
+        offset += arrays[-1].nbytes
     if offset != len(raw):
         raise ConfigError(f"{path}: trailing bytes after declared blobs")
+    if hashlib.sha256(memoryview(raw)[20 + hlen :]).hexdigest() != header["sha256"]:
+        raise ConfigError(f"{path}: blob bytes do not match the header's sha256")
+    for (name, _, _), arr in zip(blobs, arrays):
+        if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{path}: blob {name} holds non-finite values")
+        if arr.dtype.kind == "u" and arr.max(initial=0) > 1:
+            raise ConfigError(f"{path}: blob {name} holds values other than 0 and 1")
 
     n = len(layers)
     frozen = [mask.astype(bool) for mask in arrays[2 * n :]] or None

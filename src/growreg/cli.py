@@ -186,9 +186,9 @@ def _copy_config(config, out_dir):
 def pretrain_cmd(config, seed, preset, out):
     """Train and checkpoint a baseline network."""
     exp = _load_experiment(config, seed, preset)
+    data = build_dataset(exp)
     out_dir = _out_dir(out, f"pretrain_seed{exp.seed}")
     _copy_config(config, out_dir)
-    data = build_dataset(exp)
     net = pretrain(exp, data)
     val_acc = accuracy(net, data.val_x, data.val_y)
     ckpt = os.path.join(out_dir, "baseline.ckpt")
@@ -211,9 +211,10 @@ def run_cmd(config, seed, preset, k_update, baseline, out):
     exp = _load_experiment(config, seed, preset, k_update)
     base_net = load_checkpoint(baseline)[0] if baseline else None
     check_baseline(exp, base_net)
+    data = build_dataset(exp)
     out_dir = _out_dir(out, f"{exp.method}_seed{exp.seed}")
     _copy_config(config, out_dir)
-    record = run_method(exp, baseline=base_net)
+    record = run_method(exp, baseline=base_net, data=data)
     _write(out_dir, "record.csv", record.record_csv())
     _write(out_dir, "summary.csv", record.summary_csv())
     if record.snapshots:

@@ -205,6 +205,10 @@ def config_from_dict(doc, preset=None) -> ExperimentConfig:
             raise ConfigError(f"experiment.dataset.{key}: must be >= {low}, got {ds[key]}")
     if kind == "csv" and not os.path.exists(ds.get("path", "")):
         raise ConfigError(f"experiment.dataset.path: {ds.get('path')!r} not found")
+    classes = ds.get("classes", 2)  # moons and spirals have 2
+    if kind != "csv" and classes != net["classes"]:
+        raise ConfigError(f"experiment.dataset: {kind} has {classes} classes, "
+                          f"experiment.net.classes is {net['classes']}")
 
     method = exp["method"]
     reg = _reg_from(exp.get("reg"), preset or doc.get("preset"), method, "experiment.reg")

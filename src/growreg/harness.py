@@ -20,6 +20,7 @@ Accuracies are fractions in [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,12 +170,18 @@ def csv_text(rows) -> str:
 
 
 def build_dataset(exp: ExperimentConfig, seed_shift: int = 0) -> Dataset:
+    """The configured dataset; ``ConfigError`` unless its class and feature
+    counts are the network's."""
     spec = dict(exp.dataset)
     kind = spec.pop("kind", None)
     spec["seed"] = spec.get("seed", 0) + seed_shift
-    if kind == "csv":
-        return load_csv_dataset(**spec)
-    return make_dataset(kind, **spec)
+    data = load_csv_dataset(**spec) if kind == "csv" else make_dataset(kind, **spec)
+    have = (data.classes, data.train_x.shape[1])
+    want = (exp.classes, math.prod(exp.input_shape))
+    if have != want:
+        raise ConfigError(f"dataset has {have[0]} classes and {have[1]} features, "
+                          f"network expects {want[0]} and {want[1]}")
+    return data
 
 
 def _train(net, data, sched: PhaseSchedule, rng, base_decay, penalties=None,
@@ -275,17 +282,14 @@ def run_method(
     set, then fine-tune under the shared schedule. ``initial_mask``
     overrides the selection step (used by the shared-random-set protocol)
     and must be at the configured granularity. ``exp`` was checked when
-    built; a ``baseline`` must have the configured topology. The
-    summary's ``reg_ticks`` counts the ticks the ramp ran.
+    built, and ``data`` by ``build_dataset``; a ``baseline`` must have the
+    configured topology. The summary's ``reg_ticks`` counts the ticks the
+    ramp ran.
     """
     if initial_mask is not None and initial_mask.granularity != exp.granularity:
         raise PlanError(f"initial mask granularity {initial_mask.granularity!r} "
                         f"differs from the config's {exp.granularity!r}")
     data = data or build_dataset(exp)
-    if data.classes != exp.classes:
-        raise ConfigError(
-            f"dataset has {data.classes} classes, network expects {exp.classes}"
-        )
     check_baseline(exp, baseline)
     plan = exp.pruning_plan
     net = (baseline or pretrain(exp, data)).clone()

@@ -6,11 +6,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mlp_specs, small_conv_net, with_frozen
 from growreg.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from growreg.errors import ConfigError
-from growreg.netcore import Network
+from growreg.netcore import LayerSpec, Network
 
 
 def test_net_roundtrip(tmp_path):
@@ -62,7 +64,7 @@ def test_same_seed_same_bytes():
     a = checkpoint_bytes(small_conv_net(seed=12))
     b = checkpoint_bytes(small_conv_net(seed=12))
     assert a == b
-    assert hashlib.sha256(a).hexdigest()[:16] == "5fc19033ea3ca35e"
+    assert hashlib.sha256(a).hexdigest()[:16] == "4f985eb8077c5223"
     c = checkpoint_bytes(small_conv_net(seed=13))
     assert a != c
 
@@ -97,18 +99,12 @@ def test_every_truncation_rejected(tmp_path):
 
 
 def test_velocity_of_other_shape_rejected(tmp_path):
-    # format 2 stores no optimizer state: a velocity blob in the
-    # directory, of whatever shape, is rejected with the path named
-    net = Network.initialize(mlp_specs([3]), (2,), 2, seed=17)
-    raw = checkpoint_bytes(net)
-    (hlen,) = struct.unpack("<Q", raw[12:20])
-    header = json.loads(raw[20 : 20 + hlen])
-    header["blobs"].append({"name": "vw0", "shape": [6], "dtype": "<f8"})
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    # the format stores no optimizer state: a velocity blob after the ones
+    # the topology implies is rejected, even with the digest signed over it
+    raw = checkpoint_bytes(Network.initialize(mlp_specs([3]), (2,), 2, seed=17))
     path = tmp_path / "vel.ckpt"
-    path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + hlen :]
-                     + np.zeros(6).tobytes())
-    with pytest.raises(ConfigError, match="vel.ckpt: checkpoint header: blobs .*'vw0'"):
+    path.write_bytes(rewrite(raw, lambda h: None, blob_bytes(raw) + np.zeros(6).tobytes()))
+    with pytest.raises(ConfigError, match=r"vel\.ckpt: trailing bytes after declared blobs$"):
         load_checkpoint(path)
 
 
@@ -125,10 +121,18 @@ def test_integer_past_the_digit_limit_rejected(tmp_path):
 
 def test_version_1_rejected(tmp_path):
     raw = checkpoint_bytes(Network.initialize(mlp_specs([3]), (2,), 2, seed=19))
-    assert struct.unpack("<I", raw[8:12]) == (2,)
+    assert struct.unpack("<I", raw[8:12]) == (3,)
     path = tmp_path / "old.ckpt"
     path.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
     with pytest.raises(ConfigError, match="old.ckpt: unsupported checkpoint version 1$"):
+        load_checkpoint(path)
+
+
+def test_version_2_rejected(tmp_path):
+    raw = checkpoint_bytes(Network.initialize(mlp_specs([3]), (2,), 2, seed=19))
+    path = tmp_path / "v2.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:])
+    with pytest.raises(ConfigError, match="v2.ckpt: unsupported checkpoint version 2$"):
         load_checkpoint(path)
 
 
@@ -151,21 +155,9 @@ def test_every_header_bit_flip_rejected_or_identical(tmp_path):
             assert checkpoint_bytes(loaded) == raw, (pos, bit)
 
 
-def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
-    net = frozen_net(18)
-    # magnitudes in [1, 2): flipping the top exponent bit of any of them
-    # gives an infinity or a NaN, in weights and biases alike
-    rng = np.random.default_rng(0)
-    floats = net.weights + net.biases
-    for arr in floats:
-        arr[...] = rng.uniform(1, 2, arr.shape) * rng.choice([-1, 1], arr.shape)
-    raw = checkpoint_bytes(net)
+def test_every_blob_bit_flip_rejected(tmp_path):
+    raw = checkpoint_bytes(frozen_net(18))
     (hlen,) = struct.unpack("<Q", raw[12:20])
-    owner, start = {}, 20 + hlen  # byte offset -> name of the blob holding it
-    for blob in json.loads(raw[20:start])["blobs"]:
-        size = int(np.prod(blob["shape"])) * np.dtype(blob["dtype"]).itemsize
-        owner.update((pos, blob["name"]) for pos in range(start, start + size))
-        start += size
     path = tmp_path / "blob.ckpt"
     rejected = 0
     for pos in range(20 + hlen, len(raw)):
@@ -173,90 +165,70 @@ def test_every_blob_bit_flip_rejected_or_finite(tmp_path):
             flipped = bytearray(raw)
             flipped[pos] ^= 1 << bit
             path.write_bytes(bytes(flipped))
-            try:
-                loaded, _, _ = load_checkpoint(path)
-            except ConfigError as exc:
-                if owner[pos].startswith("fz") and bit == 0:
-                    expected = (f"blob.ckpt: layer {owner[pos][2:]}: "
-                                "nonzero weight under a frozen flag")
-                elif owner[pos].startswith("fz"):
-                    expected = f"blob.ckpt: blob {owner[pos]} holds values other than 0 and 1"
-                else:
-                    expected = f"blob.ckpt: blob {owner[pos]} holds non-finite values"
-                assert str(exc).endswith(expected), (pos, bit)
-                rejected += 1
-                continue
-            for arr in loaded.weights + loaded.biases:
-                assert np.all(np.isfinite(arr)), (pos, bit)
-    # exactly the flips that set a value's exponent to all ones, the seven
-    # flips per frozen-mask byte that leave it neither 0 nor 1, and the
-    # eighth, which sets a flag over a nonzero weight
-    assert rejected == sum(arr.size for arr in floats) + 8 * net.flat_frozen.size
+            with pytest.raises(ConfigError) as exc:
+                load_checkpoint(path)
+            assert str(exc.value) == f"{path}: blob bytes do not match the header's sha256"
+            rejected += 1
+    assert rejected == 8 * len(blob_bytes(raw)) > 0
 
 
 @pytest.mark.parametrize("byte", [2, 255])
 def test_frozen_mask_byte_other_than_0_or_1_rejected(tmp_path, byte):
-    raw = bytearray(checkpoint_bytes(frozen_net(20)))
-    raw[-1] = byte  # the last byte of fz1, the last blob
+    # signed again after the edit, so the digest matches
+    raw = checkpoint_bytes(frozen_net(20))
+    data = bytearray(blob_bytes(raw))
+    data[-1] = byte  # the last byte of fz1, the last blob
     path = tmp_path / "fz.ckpt"
-    path.write_bytes(bytes(raw))
+    path.write_bytes(rewrite(raw, lambda h: None, bytes(data)))
     with pytest.raises(ConfigError,
                        match=r"fz\.ckpt: blob fz1 holds values other than 0 and 1$"):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_blob_rejected_though_signed(tmp_path, value):
+    net = frozen_net(26, frozen=False)
+    net.biases[1][0] = value  # b1 is the last blob
+    raw = checkpoint_bytes(net)
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=r"nan\.ckpt: blob b1 holds non-finite values$"):
+        load_checkpoint(path)
+
+
+def test_frozen_flag_over_nonzero_weight_rejected_though_signed(tmp_path):
+    raw = checkpoint_bytes(frozen_net(27))
+    data = bytearray(blob_bytes(raw))
+    data[-6] = 1  # the first flag of fz1, over the first weight of w1
+    path = tmp_path / "flag.ckpt"
+    path.write_bytes(rewrite(raw, lambda h: None, bytes(data)))
+    with pytest.raises(ConfigError,
+                       match=r"flag\.ckpt: layer 1: nonzero weight under a frozen flag$"):
+        load_checkpoint(path)
+
 
 def rewrite(raw, edit, blobs=None):
-    """``raw`` with its JSON header passed through ``edit`` and, when given,
-    its blob data replaced by ``blobs``."""
+    """``raw`` with its blob data replaced by ``blobs`` when given and signed
+    again, then its JSON header passed through ``edit``."""
     (hlen,) = struct.unpack("<Q", raw[12:20])
     header = json.loads(raw[20 : 20 + hlen])
+    data = raw[20 + hlen :] if blobs is None else blobs
+    header["sha256"] = hashlib.sha256(data).hexdigest()
     edit(header)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    data = raw[20 + hlen :] if blobs is None else blobs
     return raw[:12] + struct.pack("<Q", len(head)) + head + data
 
 
-def blob_data(raw):
-    """Each blob's bytes by name, in file order."""
+def blob_bytes(raw):
+    """Every blob's bytes, in file order."""
     (hlen,) = struct.unpack("<Q", raw[12:20])
-    out, start = {}, 20 + hlen
-    for blob in json.loads(raw[20:start])["blobs"]:
-        size = int(np.prod(blob["shape"])) * np.dtype(blob["dtype"]).itemsize
-        out[blob["name"]] = raw[start : start + size]
-        start += size
-    return out
+    return raw[20 + hlen :]
 
 
 def frozen_net(seed, frozen=True):
     """A 2-3-2 net with all-clear frozen masks on both layers, or none."""
     net = Network.initialize(mlp_specs([3]), (2,), 2, seed=seed)
     return with_frozen(net) if frozen else net
-
-
-def test_consistently_reordered_directory_rejected(tmp_path):
-    # every blob still sits where the directory says, but not in the order
-    # the topology implies
-    raw = checkpoint_bytes(frozen_net(21))
-    data = blob_data(raw)
-    order = ["b0", "w0", "w1", "b1", "fz0", "fz1"]
-
-    def reorder(header):
-        by_name = {b["name"]: b for b in header["blobs"]}
-        header["blobs"] = [by_name[n] for n in order]
-
-    path = tmp_path / "order.ckpt"
-    path.write_bytes(rewrite(raw, reorder, b"".join(data[n] for n in order)))
-    with pytest.raises(ConfigError, match="order.ckpt: checkpoint header: blobs "):
-        load_checkpoint(path)
-
-
-def test_directory_entry_with_extra_key_rejected(tmp_path):
-    raw = checkpoint_bytes(frozen_net(22, frozen=False))
-    path = tmp_path / "extra.ckpt"
-    path.write_bytes(rewrite(raw, lambda h: h["blobs"][0].update(offset=0)))
-    with pytest.raises(ConfigError, match="extra.ckpt: checkpoint header: blobs "):
-        load_checkpoint(path)
 
 
 def test_header_layer_with_extra_key_rejected(tmp_path):
@@ -269,34 +241,26 @@ def test_header_layer_with_extra_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("frozen", [[1, 0], [0, 0], [0]])
 def test_frozen_layers_neither_none_nor_every_layer_rejected(tmp_path, frozen):
-    # a network holds masks for all its layers or for none; the directory
-    # and the data list each listed layer's mask once, in the listed order
-    listed = list(dict.fromkeys(frozen))
+    # a network holds masks for all its layers or for none, so the header
+    # says which with one boolean; format 2's list of layer indices, which
+    # could name some layers only, is an unknown key
     raw = checkpoint_bytes(frozen_net(24))
-    data = blob_data(raw)
-    names = ["w0", "b0", "w1", "b1"] + [f"fz{l}" for l in listed]
 
     def relist(header):
-        by_name = {b["name"]: b for b in header["blobs"]}
+        del header["frozen"]
         header["frozen_layers"] = frozen
-        header["blobs"] = [by_name[n] for n in names]
 
     path = tmp_path / "fz.ckpt"
-    path.write_bytes(rewrite(raw, relist, b"".join(data[n] for n in names)))
-    with pytest.raises(ConfigError, match=r"fz.ckpt: checkpoint header: frozen_layers \[.*"
-                                          r"neither \[\] nor every index of the 2 layers$"):
+    path.write_bytes(rewrite(raw, relist))
+    with pytest.raises(ConfigError, match=r"fz.ckpt: checkpoint header: "
+                                          r"unknown keys \['frozen_layers'\]$"):
         load_checkpoint(path)
 
 
 def _without_w0(raw):
-    """``raw`` with its input shape 0 and the empty ``w0`` that shape implies."""
-    data = blob_data(raw)
-
-    def zero_input(header):
-        header["input_shape"] = [0]
-        header["blobs"][0]["shape"] = [0, 3]
-
-    return rewrite(raw, zero_input, b"".join(v for k, v in data.items() if k != "w0"))
+    """``raw`` with its input shape 0 and without the 2x3 ``w0`` of the
+    2-3-2 net, as that shape implies, signed again."""
+    return rewrite(raw, lambda h: h.update(input_shape=[0]), blob_bytes(raw)[2 * 3 * 8 :])
 
 
 @pytest.mark.parametrize("make, message", [
@@ -307,9 +271,64 @@ def _without_w0(raw):
     (lambda raw: rewrite(raw, lambda h: h["layers"][1].update(kernel=[])),
      r"checkpoint header\.layers\[1\]: dense layer takes no kernel, got \[\]$"),
     (_without_w0, r"checkpoint header: input_shape dims must be >= 1, got \(0,\)$"),
-], ids=["unknown-top-level-key", "dense-kernel", "dense-empty-kernel", "zero-input-dim"])
+    (lambda raw: rewrite(raw, lambda h: h.update(blobs=[])),
+     r"checkpoint header: unknown keys \['blobs'\]$"),
+    (lambda raw: rewrite(raw, lambda h: h.update(frozen=0)),
+     r"checkpoint header: 'frozen' is 0, expected bool$"),
+    (lambda raw: rewrite(raw, lambda h: h.update(frozen=None)),
+     r"checkpoint header: 'frozen' is None, expected bool$"),
+    (lambda raw: rewrite(raw, lambda h: h.pop("sha256")),
+     r"checkpoint header: missing required keys \['sha256'\]$"),
+], ids=["unknown-top-level-key", "dense-kernel", "dense-empty-kernel", "zero-input-dim",
+        "blob-directory", "frozen-int", "frozen-null", "no-digest"])
 def test_header_the_writer_never_emits_rejected(tmp_path, make, message):
     path = tmp_path / "head.ckpt"
     path.write_bytes(make(checkpoint_bytes(frozen_net(25, frozen=False))))
     with pytest.raises(ConfigError, match=r"head\.ckpt: " + message):
         load_checkpoint(path)
+
+
+@st.composite
+def small_nets(draw):
+    """A seeded net of a few dense layers, after up to two conv layers when
+    its input is (channels, h, w); frozen or not, C- or F-ordered weights."""
+    seed = draw(st.integers(0, 2**16))
+    layers = []
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        h, w = shape[1:]
+        for _ in range(draw(st.integers(0, 2))):
+            kh, kw = draw(st.integers(1, h)), draw(st.integers(1, w))
+            layers.append(LayerSpec("conv2d", draw(st.integers(1, 4)), kernel=(kh, kw),
+                                    activation=draw(st.sampled_from(["relu", "none"]))))
+            h, w = h - kh + 1, w - kw + 1
+    else:
+        shape = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    for units in draw(st.lists(st.integers(1, 5), max_size=2)):
+        layers.append(LayerSpec("dense", units, prunable=draw(st.booleans())))
+    classes = draw(st.integers(1, 4))
+    layers.append(LayerSpec("dense", classes, activation="none", prunable=False))
+    net = Network.initialize(layers, shape, classes, seed=seed)
+    if draw(st.booleans()):
+        net = Network(net.layers, net.input_shape, net.classes,
+                      [np.asfortranarray(w) for w in net.weights], net.biases)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        net = with_frozen(net, [rng.random(w.shape) < 0.3 for w in net.weights])
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=small_nets())
+def test_save_load_roundtrip_property(tmp_path_factory, net):
+    path = tmp_path_factory.mktemp("prop") / "net.ckpt"
+    saved = save_checkpoint(path, net)
+    loaded, _, _ = load_checkpoint(path)
+    assert (loaded.layers, loaded.input_shape, loaded.classes) == \
+        (net.layers, net.input_shape, net.classes)
+    for ours, theirs in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    assert (loaded.frozen is None) == (net.frozen is None)
+    for ours, theirs in zip(net.frozen or (), loaded.frozen or ()):
+        assert np.array_equal(ours, theirs)
+    assert checkpoint_bytes(loaded) == saved

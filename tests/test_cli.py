@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from growreg import harness
 from growreg.cli import main
+from growreg.groups import select_prune_set
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -295,6 +297,54 @@ class TestPipelineCommands:
         assert "not a checkpoint file (bad magic)" in result.output
         assert not out.exists()
 
+    def test_run_with_directory_baseline_exits_2_writing_nothing(self, runner, tmp_path):
+        cfg = tiny_config(tmp_path)
+        ckpt = tmp_path / "dir.ckpt"
+        ckpt.mkdir()
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out),
+                                      "--baseline", str(ckpt)])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert f"cannot read checkpoint {ckpt}: " in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "pretrain", "compare"])
+    def test_dataset_of_other_class_count_exits_2_before_any_work(self, runner, tmp_path,
+                                                                  command):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["dataset"]["classes"] = 3
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("error: experiment.dataset: blobs has 3 classes, "
+                                 "experiment.net.classes is 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    @pytest.mark.parametrize("features, labels, message", [
+        (3, [0, 1], "dataset has 2 classes and 3 features, network expects 2 and 2"),
+        (2, [0, 1, 2], "dataset has 3 classes and 2 features, network expects 2 and 2"),
+    ], ids=["3-features", "3-classes"])
+    def test_csv_not_fitting_the_net_exits_2_before_any_work(self, runner, tmp_path,
+                                                            command, features, labels,
+                                                            message):
+        rows = np.random.default_rng(0).standard_normal((40, features + 1))
+        rows[:, -1] = np.resize(labels, 40)
+        data = tmp_path / "data.csv"
+        np.savetxt(data, rows, delimiter=",")
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["dataset"] = {"kind": "csv", "path": str(data), "n_val": 10}
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {message}\n"
+        assert not out.exists()
+
     def test_run_byte_identical_records(self, runner, tmp_path):
         cfg = tiny_config(tmp_path)
         outs = []
@@ -347,6 +397,17 @@ class TestPipelineCommands:
         lines = (out / "comparison.csv").read_text().strip().splitlines()
         assert lines[0] == "seed,method,post_finetune_acc,pruned_hash"
         assert "greg1" in result.output and "oneshot" in result.output
+
+    def test_compare_of_mismatched_sets_exits_3(self, runner, tmp_path, monkeypatch):
+        # the one-shot arm prunes the largest-L1 groups instead of the smallest
+        monkeypatch.setattr(harness, "select_prune_set",
+                            lambda scores, plan: select_prune_set([-v for v in scores], plan))
+        cfg = tiny_config(tmp_path)
+        result = runner.invoke(main, ["compare", "--config", str(cfg), "--seeds", "2",
+                                      "--out", str(tmp_path / "cmp")])
+        assert result.exit_code == 3, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert result.output.startswith("error: seed 0: pruned sets differ between schedules")
 
     @pytest.mark.parametrize("seeds", ["1", "0", "-2"])
     def test_compare_with_too_few_seeds_exits_2_writing_nothing(self, runner,

@@ -16,8 +16,9 @@ from growreg.errors import (
     DomainError,
     NumericError,
     PlanError,
+    ProtocolError,
 )
-from growreg.groups import Mask, PruningPlan, apply_hard_prune, group_counts
+from growreg.groups import Mask, PruningPlan, apply_hard_prune, group_counts, select_prune_set
 from growreg.harness import (
     ExperimentConfig,
     PhaseSchedule,
@@ -394,6 +395,15 @@ class TestCompare:
         lines = res.table_csv().strip().splitlines()
         assert lines[0] == "seed,method,post_finetune_acc,pruned_hash"
         assert len(lines) == 1 + 4 + 1 + 2
+
+    def test_mismatched_sets_raise_protocol_error_naming_the_seed(self, monkeypatch):
+        # the one-shot arm prunes the largest-L1 groups instead of the smallest
+        monkeypatch.setattr(harness, "select_prune_set",
+                            lambda scores, plan: select_prune_set([-v for v in scores], plan))
+        exp = quick_config(seed=7, pre_steps=50, ft_steps=10)
+        with pytest.raises(ProtocolError, match=r"^seed 7: pruned sets differ between "
+                                                r"schedules \([0-9a-f]{16} vs [0-9a-f]{16}\)$"):
+            compare_schedules(exp, n_seeds=2)
 
     def test_seed_count_validated(self):
         with pytest.raises(ConfigError):
