@@ -242,6 +242,7 @@ def compare_cmd(config, seeds, kind, preset, k_update, out):
     if seeds < 2:
         raise ConfigError(f"--seeds must be >= 2, got {seeds}")
     exp = _load_experiment(config, None, preset, k_update)
+    build_dataset(exp)  # a dataset that does not fit the net fails before any output
     out_dir = _out_dir(out, f"compare_{kind}" + (f"_ku{k_update}" if k_update else ""))
     _copy_config(config, out_dir)
     result = compare_schedules(exp, n_seeds=seeds, kind=kind)

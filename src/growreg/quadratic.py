@@ -16,6 +16,9 @@ model is ``perturbed_minimum(model, k * delta)``.
 
 Every bump ``delta`` is a plain number. All functions are pure; inputs are
 never mutated.
+
+scipy serves only the closed-form solve (a Cholesky factorization) and is
+imported at the first one, so a process that never solves never loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, DimensionError, DomainError, SingularSystemError
 
@@ -85,6 +87,9 @@ class QuadraticModel:
 
 def _solve_shifted(model: QuadraticModel, delta: float) -> np.ndarray:
     """Solve (H + delta I) w = H w* by dense symmetric factorization."""
+    # imported at first use: scipy.linalg is most of growreg's import time
+    from scipy.linalg import cho_factor, cho_solve
+
     if not np.isfinite(delta):
         raise DomainError(f"delta_lambda must be finite, got {delta}")
     h = model.hessian

@@ -323,7 +323,7 @@ class TestPipelineCommands:
                                  "experiment.net.classes is 2\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "pretrain"])
+    @pytest.mark.parametrize("command", ["run", "pretrain", "compare"])
     @pytest.mark.parametrize("features, labels, message", [
         (3, [0, 1], "dataset has 2 classes and 3 features, network expects 2 and 2"),
         (2, [0, 1, 2], "dataset has 3 classes and 2 features, network expects 2 and 2"),

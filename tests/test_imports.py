@@ -1,4 +1,5 @@
-"""Every growreg module imports on its own, whatever imports it first."""
+"""Every growreg module imports on its own, whatever imports it first, and
+scipy loads only at the first closed-form solve."""
 
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(p.stem for p in (SRC / "growreg").glob("*.py") if p.stem != "__init__")
-
+IMPORT_ALL = f"import sys, {', '.join('growreg.' + m for m in MODULES)}\n"
 
 
 def run_fresh(code):
@@ -33,7 +34,7 @@ def test_import_leaves_the_blas_thread_count_alone():
         "lib = ctypes.CDLL(numpy._core._multiarray_umath.__file__)\n"
         "get = getattr(lib, 'scipy_openblas_get_num_threads64_', lambda: 0)\n"
         "before = get()\n"
-        f"import {', '.join('growreg.' + m for m in MODULES)}\n"
+        + IMPORT_ALL +
         "from growreg.netcore import LayerSpec, Network, accuracy\n"
         "net = Network.initialize((LayerSpec('dense', 2, activation='none'),), (2,), 2)\n"
         "accuracy(net, numpy.ones((512, 2)), numpy.zeros(512, int))\n"
@@ -42,3 +43,41 @@ def test_import_leaves_the_blas_thread_count_alone():
     assert result.returncode == 0, result.stderr
     before, after = result.stdout.split()
     assert before == after
+
+
+def test_scipy_loads_at_the_first_solve_and_not_before():
+    result = run_fresh(
+        IMPORT_ALL +
+        "from growreg.quadratic import QuadraticModel, perturbed_minimum\n"
+        "model = QuadraticModel(hessian=[[2.0, 0.5], [0.5, 1.0]], w_star=[1.0, -1.0])\n"
+        "before = 'scipy' in sys.modules\n"
+        "perturbed_minimum(model, 0.01)\n"
+        "print(before, 'scipy' in sys.modules)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
+def test_oracle_command_runs_in_a_fresh_interpreter(tmp_path):
+    # the in-process CLI tests run after other tests have loaded scipy
+    result = run_fresh(
+        "from growreg.cli import main\n"
+        f"main(['oracle', '--dim', '4', '--cases', '2', '--out', {str(tmp_path)!r}])\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("oracle: 2 case(s), max residual")
+    assert (tmp_path / "oracle_report.csv").exists()
+
+
+def test_a_singular_first_solve_raises_singular_system_error():
+    result = run_fresh(
+        "from growreg.errors import SingularSystemError\n"
+        "from growreg.quadratic import QuadraticModel, perturbed_minimum\n"
+        "model = QuadraticModel(hessian=[[1.0, 0.0], [0.0, 0.0]], w_star=[1.0, 1.0])\n"
+        "try:\n"
+        "    perturbed_minimum(model, 0.0)\n"
+        "except SingularSystemError:\n"
+        "    print('singular')\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["singular"]
