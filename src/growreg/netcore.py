@@ -20,6 +20,14 @@ buffer; only a sum that is not finite (a NaN or inf entry, or finite
 entries that overflow) starts a layer-by-layer search, which names the
 layer or raises nothing.
 
+Image activations are channels-last, ``(batch, h, w, c)``, from the
+input to the flatten before a dense layer; the flatten takes them in
+``(c, h, w)`` order, so dense weights, pruning and checkpoints see the
+stored layouts, and a conv weight stays ``(filters, c, kh, kw)``. A conv
+layer's im2col patches have their columns in ``(kh, kw, c)`` order, so
+each copied run is ``kw * c`` contiguous doubles, and its col2im adds one
+contiguous block of patch gradients per kernel offset.
+
 Everything is float64 numpy. Training runs in one Python thread, and
 matrix products use as many BLAS threads as numpy's BLAS decides; this
 module sets no thread count. :func:`accuracy` runs :func:`forward` on
@@ -265,14 +273,17 @@ def layer_shapes(layers, input_shape):
 # -- forward / backward ----------------------------------------------------
 
 
-def _conv_forward(x, w):
-    b, c, h, wd = x.shape
+def _conv_forward(x, w, b):
+    """Conv of ``x``, ``(batch, h, w, c)``: returns the ``(batch, oh, ow, f)``
+    pre-activation and the im2col patches, one row per output position."""
+    n, h, wd, c = x.shape
     f, _, kh, kw = w.shape
     oh, ow = h - kh + 1, wd - kw + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kh * kw)
-    out = cols @ w.reshape(f, -1).T
-    return out.reshape(b, oh, ow, f).transpose(0, 3, 1, 2), cols
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+    z = cols @ w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
+    z += b
+    return z.reshape(n, oh, ow, f), cols
 
 
 def forward(net: Network, batch_inputs):
@@ -282,7 +293,8 @@ def forward(net: Network, batch_inputs):
     flattened ``(batch, prod(input_shape))``. ``cache[l]`` is the pair
     ``(inputs, z)``: the 2-d matrix layer ``l`` multiplied by its weights
     (the flattened input of a dense layer, the im2col patches of a conv
-    layer) and its pre-activation output.
+    layer) and its pre-activation output; a conv layer's ``z`` is an
+    NCHW-shaped view, ``(batch, f, oh, ow)``, of channels-last memory.
     """
     x = np.asarray(batch_inputs, dtype=float)
     native = (len(x.shape) - 1 == len(net.input_shape)) and (
@@ -294,20 +306,24 @@ def forward(net: Network, batch_inputs):
                 f"batch shape {x.shape} incompatible with input shape {net.input_shape}"
             )
         x = x.reshape(x.shape[0], *net.input_shape)
+    if x.ndim == 4:
+        x = x.transpose(0, 2, 3, 1)
     cache = []
     for spec, w, b in zip(net.layers, net.weights, net.biases):
         if spec.kind == "dense":
+            if x.ndim == 4:
+                x = x.transpose(0, 3, 1, 2)
             if x.ndim != 2:
                 x = x.reshape(x.shape[0], -1)
             inputs = x
             z = x @ w
             z += b
+            cache.append((inputs, z))
         else:
-            z, inputs = _conv_forward(x, w)
-            z = z + b[None, :, None, None]
-        cache.append((inputs, z))
+            z, inputs = _conv_forward(x, w, b)
+            cache.append((inputs, z.transpose(0, 3, 1, 2)))
         x = np.maximum(z, 0.0) if spec.activation == "relu" else z
-    return x, cache
+    return (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x), cache
 
 
 def accuracy(net: Network, inputs, labels) -> float:
@@ -329,12 +345,21 @@ def accuracy(net: Network, inputs, labels) -> float:
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean CE loss and d(loss)/d(logits) for integer labels."""
+    """Mean CE loss and d(loss)/d(logits) for integer labels.
+
+    Raises ``DimensionError`` unless there is one label per row and at
+    least one row, and ``DomainError`` for labels that are not integers
+    (booleans included) or lie outside ``[0, classes)``.
+    """
     z = np.asarray(logits, dtype=float)
     y = np.asarray(labels)
     n, c = z.shape
     if y.shape != (n,):
         raise DimensionError(f"labels shape {y.shape}, expected ({n},)")
+    if n == 0:
+        raise DimensionError("the loss needs at least one row")
+    if y.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got dtype {y.dtype}")
     if y.min() < 0 or y.max() >= c:
         raise DomainError(f"labels out of range [0, {c})")
     # non-finite logits surface as a NumericError downstream, not a warning
@@ -355,11 +380,10 @@ def loss_and_grads(net: Network, batch, labels):
     Backward walks the cached activations from the last layer down and
     stops after layer 0's weight and bias gradients, since nothing reads
     the gradient with respect to the input batch. A conv layer's input
-    gradient is col2im: the upstream gradient times the kernel matrix gives
-    one column of input-patch gradients per output position, and each of
-    the ``kh * kw`` kernel offsets is scatter-added into the input map.
-    The gradients are written into a fresh :class:`GradBuffer` in the
-    network's layout.
+    gradient is col2im: the upstream gradient times the kernel gives one
+    block of input-patch gradients per kernel offset, and each block is
+    added into the input map at its offset. The gradients are written
+    into a fresh :class:`GradBuffer` in the network's layout.
     """
     logits, cache = forward(net, batch)
     loss, dout = softmax_cross_entropy(logits, labels)
@@ -369,8 +393,11 @@ def loss_and_grads(net: Network, batch, labels):
     for l in range(len(net.layers) - 1, -1, -1):
         spec, w = net.layers[l], net.weights[l]
         inputs, z = cache[l]
-        if spec.kind == "conv2d":  # a dense consumer passes back flat rows
-            dout = dout.reshape(z.shape)
+        if spec.kind == "conv2d":
+            z = z.transpose(0, 2, 3, 1)
+            if dout.ndim == 2:  # a dense consumer passes back (c, h, w) rows
+                n, oh, ow, f = z.shape
+                dout = dout.reshape(n, f, oh, ow).transpose(0, 2, 3, 1)
         dz = dout * (z > 0) if spec.activation == "relu" else dout
         if spec.kind == "dense":
             np.matmul(inputs.T, dz, out=grads.weights[l])
@@ -378,21 +405,17 @@ def loss_and_grads(net: Network, batch, labels):
             if l > 0:
                 dout = dz @ w.T
         else:
-            b, f, oh, ow = dz.shape
-            dz_mat = dz.transpose(0, 2, 3, 1).reshape(b * oh * ow, f)
-            grads.weights[l][...] = (dz_mat.T @ inputs).reshape(w.shape)
-            dz.sum(axis=(0, 2, 3), out=grads.biases[l])
+            n, oh, ow, f = dz.shape
+            c, kh, kw = w.shape[1:]
+            dz_mat = dz.reshape(n * oh * ow, f)
+            grads.weights[l][...] = (inputs.T @ dz_mat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+            dz_mat.sum(axis=0, out=grads.biases[l])
             if l > 0:
-                c, kh, kw = w.shape[1:]
-                h, wd = oh + kh - 1, ow + kw - 1
-                # channels-last so each offset adds contiguous channel rows
-                w_mat = w.transpose(0, 2, 3, 1).reshape(f, -1)
-                dcols = (dz_mat @ w_mat).reshape(b, oh, ow, kh, kw, c)
-                dx = np.zeros((b, h, wd, c))
-                for i in range(kh):
-                    for j in range(kw):
-                        dx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
-                dout = dx.transpose(0, 3, 1, 2)
+                dcols = np.matmul(dz_mat, w.transpose(2, 3, 0, 1).reshape(kh * kw, f, c))
+                dout = np.zeros((n, oh + kh - 1, ow + kw - 1, c))
+                for k in range(kh * kw):
+                    i, j = divmod(k, kw)
+                    dout[:, i : i + oh, j : j + ow] += dcols[k].reshape(n, oh, ow, c)
     grads.check_finite()
     return loss, grads
 

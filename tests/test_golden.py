@@ -98,10 +98,10 @@ def conv_config(tmp_path, method, granularity):
 
 
 @pytest.mark.parametrize("method, granularity, expected", [
-    ("greg1", "filter", "c8a3972fda1f291c"),
-    ("greg2", "filter", "ffd8b253159f65f0"),
-    ("greg1", "weight", "06c1c2914e58cebd"),
-    ("greg2", "weight", "d2b20c7ba299bffc"),
+    ("greg1", "filter", "578b2705951acdc2"),
+    ("greg2", "filter", "c719601f3976c659"),
+    ("greg1", "weight", "5452b94562347fc0"),
+    ("greg2", "weight", "4e8eed2085decefc"),
 ])
 def test_conv_digest(tmp_path, method, granularity, expected):
     assert digest(run_method(conv_config(tmp_path, method, granularity))) == expected

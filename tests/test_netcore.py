@@ -72,6 +72,32 @@ def reference_grads(net, x, y):
     return d_w, d_b
 
 
+def reference_logits(net, x):
+    """Logits written independently of netcore: each conv layer is an
+    einsum over NCHW sliding windows, with no im2col and no channels-last
+    copy."""
+    a = x.reshape(len(x), *net.input_shape)
+    for spec, w, b in zip(net.layers, net.weights, net.biases):
+        if spec.kind == "dense":
+            z = a.reshape(len(a), -1) @ w + b
+        else:
+            win = sliding_window_view(a, spec.kernel, axis=(2, 3))
+            z = np.einsum("bcijkl,fckl->bfij", win, w) + b[:, None, None]
+        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+    return a
+
+
+def permuted_conv_params(weights, biases, p0, p1):
+    """``small_conv_net``'s weights and biases (or gradients) with layer 0's
+    filters permuted by ``p0`` together with layer 1's input channels, and
+    layer 1's filters permuted by ``p1`` together with the dense consumer's
+    flattened ``(c, h, w)`` row blocks."""
+    w0, w1, w2, w3 = weights
+    b0, b1, b2, b3 = biases
+    rows = w2.reshape(len(p1), -1, w2.shape[1])[p1].reshape(w2.shape)
+    return [w0[p0], w1[p1][:, p0], rows, w3], [b0[p0], b1[p1], b2, b3]
+
+
 def rect_conv_net(seed):
     """conv (3, 2) -> conv (2, 3) -> dense on 2-channel 7x6 inputs."""
     layers = (
@@ -176,6 +202,32 @@ class TestForward:
         flat, _ = forward(net, x.reshape(4, -1))
         assert np.array_equal(native, flat)
 
+    @pytest.mark.parametrize("make_net, shape", [
+        (small_conv_net, (2, 9, 9)), (rect_conv_net, (2, 7, 6)),
+    ], ids=["square", "rect"])
+    def test_conv_logits_match_an_einsum_reference(self, make_net, shape, rng):
+        for seed in range(3):
+            net = make_net(seed)
+            x = rng.standard_normal((5, *shape))
+            got, want = forward(net, x)[0], reference_logits(net, x)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_conv_filter_permutation_permutes_logits_and_gradients(self, rng):
+        for seed in range(3):
+            net = small_conv_net(seed)
+            p0, p1 = rng.permutation(6), rng.permutation(5)
+            perm = Network(net.layers, net.input_shape, net.classes,
+                           *permuted_conv_params(net.weights, net.biases, p0, p1))
+            x = rng.standard_normal((6, 2, 9, 9))
+            y = rng.integers(0, 3, 6)
+            want = forward(net, x)[0]
+            assert np.max(np.abs(forward(perm, x)[0] - want)) <= 1e-12 * np.max(np.abs(want))
+            _, grads = loss_and_grads(net, x, y)
+            _, got = loss_and_grads(perm, x, y)
+            expect = permuted_conv_params(grads.weights, grads.biases, p0, p1)
+            for a, b in zip(got.weights + got.biases, expect[0] + expect[1]):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
     def test_shape_mismatch_raises(self, rng):
         net = Network.initialize(mlp_specs([4]), (3,), 2, seed=0)
         with pytest.raises(DimensionError):
@@ -265,10 +317,32 @@ class TestLossAndGrads:
         loss, _ = loss_and_grads(net, x, y)
         assert loss < 1e-6
 
-    def test_label_out_of_range(self, rng):
+    @pytest.mark.parametrize("rows, labels, error", [
+        (0, np.zeros(0, int), DimensionError),
+        (3, np.array([0.0, 1.0, 1.0]), DomainError),
+        (3, np.array([False, True, True]), DomainError),
+        (3, np.array([0, 2, 1]), DomainError),
+    ], ids=["empty", "float", "bool", "out-of-range"])
+    def test_bad_labels_raise_a_package_error(self, rows, labels, error):
         net = Network.initialize(mlp_specs([4]), (3,), 2, seed=0)
-        with pytest.raises(DomainError):
-            loss_and_grads(net, rng.standard_normal((3, 3)), np.array([0, 2, 1]))
+        x = np.ones((rows, 3))
+        with pytest.raises(error):
+            softmax_cross_entropy(forward(net, x)[0], labels)
+        with pytest.raises(error):
+            loss_and_grads(net, x, labels)
+
+    @pytest.mark.parametrize("input_shape", [(), (2, 3), (2, 3, 4), (1, 2, 3, 2)],
+                             ids=["rank0", "rank2", "rank3", "rank4"])
+    def test_dense_net_takes_any_input_rank(self, input_shape, rng):
+        net = Network.initialize(mlp_specs([5], classes=3), input_shape, 3, seed=1)
+        x = rng.standard_normal((4, *input_shape))
+        y = np.array([0, 1, 2, 1])
+        hidden = np.maximum(x.reshape(4, -1) @ net.weights[0] + net.biases[0], 0.0)
+        assert np.array_equal(forward(net, x)[0], hidden @ net.weights[1] + net.biases[1])
+        _, grads = loss_and_grads(net, x, y)
+        ref_w, ref_b = reference_grads(net, x, y)
+        for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
+            assert np.array_equal(got, want)
 
     def test_nan_loss_raises(self, rng):
         net = Network.initialize(mlp_specs([4]), (3,), 2, seed=0)
