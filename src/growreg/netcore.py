@@ -242,7 +242,8 @@ class Network:
 
 def layer_shapes(layers, input_shape):
     """Each layer's ``(input shape, weight shape)``; raises on an input
-    dimension below 1 or an incompatible chain."""
+    dimension below 1, an incompatible chain or a final layer that is not
+    dense, since the logits are one row per input."""
     current = tuple(input_shape)
     if min(current, default=1) < 1:
         raise DimensionError(f"input_shape dims must be >= 1, got {current}")
@@ -267,6 +268,10 @@ def layer_shapes(layers, input_shape):
             out = (spec.units, oh, ow)
         shapes.append((current, w_shape))
         current = out
+    if shapes and layers[-1].kind != "dense":
+        raise DimensionError(
+            f"final layer {len(shapes) - 1} is {layers[-1].kind}; the logits need a dense layer"
+        )
     return shapes
 
 
@@ -323,7 +328,7 @@ def forward(net: Network, batch_inputs):
             z, inputs = _conv_forward(x, w, b)
             cache.append((inputs, z.transpose(0, 3, 1, 2)))
         x = np.maximum(z, 0.0) if spec.activation == "relu" else z
-    return (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x), cache
+    return x, cache
 
 
 def accuracy(net: Network, inputs, labels) -> float:
@@ -347,12 +352,15 @@ def accuracy(net: Network, inputs, labels) -> float:
 def softmax_cross_entropy(logits, labels):
     """Mean CE loss and d(loss)/d(logits) for integer labels.
 
-    Raises ``DimensionError`` unless there is one label per row and at
-    least one row, and ``DomainError`` for labels that are not integers
-    (booleans included) or lie outside ``[0, classes)``.
+    Raises ``DimensionError`` unless the logits are 2-d, ``(rows, classes)``,
+    with one label per row and at least one row, and ``DomainError`` for
+    labels that are not integers (booleans included) or lie outside
+    ``[0, classes)``.
     """
     z = np.asarray(logits, dtype=float)
     y = np.asarray(labels)
+    if z.ndim != 2:
+        raise DimensionError(f"logits must be (rows, classes), got shape {z.shape}")
     n, c = z.shape
     if y.shape != (n,):
         raise DimensionError(f"labels shape {y.shape}, expected ({n},)")

@@ -10,9 +10,13 @@ and the per-coordinate survival ratio ``r_i = w_hat_i / w*_i`` encodes the
 local curvature: flat directions collapse, stiff directions barely move.
 This module provides the closed forms (full, diagonal, and 2-d approximate)
 and a plain gradient-descent minimizer that serves as an independent oracle
-for the closed forms. A penalty that keeps growing is a series of such
-bumps: the minimum after ``k`` bumps of ``delta`` against the original
-model is ``perturbed_minimum(model, k * delta)``.
+for the closed forms. The descent runs as the affine recurrence
+``w <- (I - step A) w + step H w*`` with ``A = H + delta_lambda I``, at two
+small numpy calls per iteration, and checks the gradients of
+``DESCENT_BLOCK`` iterates at a time with one matrix product. A penalty
+that keeps growing is a series of such bumps: the minimum after ``k``
+bumps of ``delta`` against the original model is
+``perturbed_minimum(model, k * delta)``.
 
 Every bump ``delta`` is a plain number. All functions are pure; inputs are
 never mutated.
@@ -32,6 +36,9 @@ from .errors import ConvergenceError, DimensionError, DomainError, SingularSyste
 
 SYMMETRY_WARN_TOL = 1e-9
 PSD_EIG_TOL = -1e-10
+# iterates per gradient check; a block may run up to DESCENT_BLOCK - 1 past
+# the returned one
+DESCENT_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,12 +198,29 @@ def gd_minimize_quadratic(
     """Minimize the penalty-bumped quadratic by plain gradient descent.
 
     Independent oracle for :func:`perturbed_minimum`: no linear solve, no
-    matrix inverse, just descent on the shifted quadratic until the gradient
-    ``(H + delta I) w - H w*`` has infinity-norm below ``tol``. Descent
-    starts from ``w*``. Stable for ``step < 2 / (eig_max(H) + delta)``.
+    matrix inverse, just descent on the shifted quadratic from ``w*``,
+    returning the first iterate whose gradient ``(H + delta I) w - H w*``
+    has infinity-norm below ``tol``. Stable for
+    ``step < 2 / (eig_max(H) + delta)``.
+
+    With ``A = H + delta I``, a descent step ``w - step * (A w - H w*)`` is
+    the affine map ``w <- B w + c``, ``B = I - step * A`` and
+    ``c = step * H w*``, built once. The iterates are written
+    ``DESCENT_BLOCK`` at a time into the rows of one block, and the
+    gradients of a whole block are checked with one product; a block may
+    run past the returned iterate. Iterates differ from the textbook
+    update's in the last bits. Raises ``DomainError`` for a non-finite
+    ``delta`` or ``tol``, a ``max_iters`` that is not an integer >= 0, or an
+    unstable step, and ``ConvergenceError`` with the gradient norm of
+    iterate ``max_iters`` when none before it met ``tol``.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+    if not np.isfinite(delta):
+        raise DomainError(f"delta_lambda must be finite, got {delta}")
+    if not 0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if (not isinstance(max_iters, (int, np.integer)) or isinstance(max_iters, bool)
+            or max_iters < 0):
+        raise DomainError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     eig_max = float(model.eigenvalues[-1]) if model.dim else 0.0
     limit = 2.0 / (eig_max + delta) if (eig_max + delta) > 0 else np.inf
     if not (0 < step < limit):
@@ -204,18 +228,32 @@ def gd_minimize_quadratic(
             f"step {step} outside stable range (0, {limit:.6g}) "
             f"for eig_max {eig_max:.6g} and delta {delta:.6g}"
         )
-    h = model.hessian
-    target = h @ model.w_star
-    w = model.w_star.copy()
-    gnorm = np.inf
-    for it in range(max_iters + 1):
-        grad = h @ w + delta * w - target
-        gnorm = np.max(np.abs(grad)) if grad.size else 0.0
-        if gnorm < tol:
-            return w
-        if it == max_iters:
-            break
-        w = w - step * grad
+    h, w_star = model.hessian, model.w_star
+    shifted = h + delta * np.eye(model.dim)
+    target = h @ w_star
+    # the start's gradient H w* + delta w* - H w* as the textbook loop forms it,
+    # so at delta 0 it is exactly 0 and w* comes back at any tol
+    gnorm = np.max(np.abs(target + delta * w_star - target), initial=0.0)
+    if gnorm < tol:
+        return w_star.copy()
+    update = np.eye(model.dim) - step * shifted
+    offset = step * target
+    block = np.empty((DESCENT_BLOCK + 1, model.dim))  # row 0: the iterate before the block
+    block[0] = w_star
+    rows = list(block)
+    done = 0
+    while done < max_iters:
+        n = min(DESCENT_BLOCK, max_iters - done)
+        for prev, row in zip(rows[:n], rows[1:n + 1]):
+            np.dot(update, prev, out=row)
+            row += offset
+        norms = np.max(np.abs(block[1:n + 1] @ shifted.T - target), axis=1)
+        hits = np.flatnonzero(norms < tol)
+        if hits.size:
+            return block[1 + hits[0]].copy()
+        done += n
+        gnorm = norms[-1]
+        block[0] = block[n]
     raise ConvergenceError(
         f"gradient descent did not reach tol {tol:.1e} in {max_iters} iterations "
         f"(final grad inf-norm {gnorm:.3e})",

@@ -622,7 +622,12 @@ class TestValidationExitCodes:
         ({"layers.1.kernel": [3, 3]},
          "experiment.net.layers[1]: dense layer takes no kernel, got [3, 3]"),
         ({"layers.1.kernel": []}, "experiment.net.layers[1]: dense layer takes no kernel"),
-    ], ids=["zero-input-dim", "conv-kernel-over-input", "dense-kernel", "dense-empty-kernel"])
+        ({"input_shape": [1, 3, 3], "layers.0.kind": "conv2d", "layers.0.kernel": [2, 2],
+          "layers.1.kind": "conv2d", "layers.1.kernel": [1, 1],
+          "layers.2.kind": "conv2d", "layers.2.kernel": [2, 2]},
+         "experiment: final layer 2 is conv2d; the logits need a dense layer"),
+    ], ids=["zero-input-dim", "conv-kernel-over-input", "dense-kernel", "dense-empty-kernel",
+            "conv-last"])
     def test_bad_layer_chain_exits_2_before_any_work(self, runner, tmp_path, net, message):
         cfg = tiny_config(tmp_path)
         doc = json.loads(cfg.read_text())

@@ -132,7 +132,7 @@ class TestLayerShapes:
         ((LayerSpec("dense", 5), logits(3)), (4,)),
         ((LayerSpec("dense", 7), LayerSpec("dense", 2), logits(2)), (1, 3, 3)),
         ((LayerSpec("conv2d", 4, kernel=(3, 3)), LayerSpec("conv2d", 2, kernel=(2, 1)),
-          LayerSpec("conv2d", 3, kernel=(1, 1), activation="none", prunable=False)),
+          logits(3)),
          (2, 6, 5)),
         ((LayerSpec("conv2d", 6, kernel=(3, 3)), LayerSpec("conv2d", 5, kernel=(2, 2)),
           LayerSpec("dense", 8), logits(3)), (2, 9, 9)),
@@ -149,7 +149,11 @@ class TestLayerShapes:
          r"conv2d layer 1 needs \(channels, h, w\) input, got \(4,\)"),
         ((LayerSpec("conv2d", 2, kernel=(3, 6)), logits(2)), (1, 5, 5),
          r"conv2d layer 0: kernel \(3, 6\) larger than input \(1, 5, 5\)"),
-    ], ids=["dense-to-conv", "oversized-kernel"])
+        # a final conv layer's logits would be (batch, classes, 1, 1)
+        ((LayerSpec("conv2d", 4, kernel=(2, 2)),
+          LayerSpec("conv2d", 2, kernel=(2, 2), activation="none", prunable=False)),
+         (1, 3, 3), r"^final layer 1 is conv2d; the logits need a dense layer$"),
+    ], ids=["dense-to-conv", "oversized-kernel", "conv-last"])
     def test_incompatible_chain_raises(self, layers, input_shape, message):
         with pytest.raises(DimensionError, match=message):
             layer_shapes(layers, input_shape)
@@ -316,6 +320,11 @@ class TestLossAndGrads:
         y = np.array([0, 1, 0])
         loss, _ = loss_and_grads(net, x, y)
         assert loss < 1e-6
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1, 1)], ids=["1-d", "4-d"])
+    def test_logits_must_be_2d(self, shape):
+        with pytest.raises(DimensionError, match=r"^logits must be \(rows, classes\)"):
+            softmax_cross_entropy(np.zeros(shape), np.zeros(5, int))
 
     @pytest.mark.parametrize("rows, labels, error", [
         (0, np.zeros(0, int), DimensionError),

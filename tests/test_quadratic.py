@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growreg.errors import (
     ConvergenceError,
@@ -10,6 +12,7 @@ from growreg.errors import (
     SingularSystemError,
 )
 from growreg.quadratic import (
+    DESCENT_BLOCK,
     QuadraticModel,
     diagonal_ratio,
     gd_minimize_quadratic,
@@ -18,6 +21,25 @@ from growreg.quadratic import (
     two_d_ratios,
     two_d_ratios_exact,
 )
+
+EPS = np.finfo(float).eps
+
+
+def reference_descent(model, delta, step, max_iters=200_000, tol=1e-12):
+    """The textbook descent loop, one update ``w - step * grad`` and one
+    gradient check per iteration; the oracle must agree with it."""
+    h = model.hessian
+    target = h @ model.w_star
+    w = model.w_star.copy()
+    for it in range(max_iters + 1):
+        grad = h @ w + delta * w - target
+        gnorm = np.max(np.abs(grad)) if grad.size else 0.0
+        if gnorm < tol:
+            return w
+        if it == max_iters:
+            break
+        w = w - step * grad
+    raise ConvergenceError("reference descent did not converge", residual=float(gnorm))
 
 
 class TestModelValidation:
@@ -187,11 +209,14 @@ class TestDescentOracle:
         )
         assert np.max(np.abs(closed - gd)) < 1e-8
 
-    def test_zero_increment_is_fixed_point(self):
+    @pytest.mark.parametrize("tol", [1e-10, 1e-300])
+    def test_zero_increment_is_fixed_point(self, tol):
+        # the gradient at w* is exactly 0, so even a tol no descent reaches is met
         rng = np.random.default_rng(12)
         model = random_psd_model(rng, 6)
-        w = gd_minimize_quadratic(model, 0.0, step=0.05, tol=1e-10)
-        assert np.array_equal(w, model.w_star)
+        for descent in (gd_minimize_quadratic, reference_descent):
+            w = descent(model, 0.0, step=0.05, tol=tol)
+            assert np.array_equal(w, model.w_star)
 
     def test_unstable_step_rejected(self):
         model = QuadraticModel(np.eye(2), np.ones(2))
@@ -203,6 +228,67 @@ class TestDescentOracle:
         with pytest.raises(ConvergenceError) as err:
             gd_minimize_quadratic(model, 0.1, step=1e-6, max_iters=5, tol=1e-14)
         assert err.value.residual > 0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"delta": float("nan")}, "delta_lambda must be finite, got nan"),
+        ({"delta": float("inf")}, "delta_lambda must be finite, got inf"),
+        ({"delta": -float("inf")}, "delta_lambda must be finite, got -inf"),
+        ({"tol": float("nan")}, "tol must be finite and > 0, got nan"),
+        ({"tol": float("inf")}, "tol must be finite and > 0, got inf"),
+        ({"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
+        ({"max_iters": -1}, "max_iters must be an integer >= 0, got -1"),
+        ({"max_iters": 2.5}, "max_iters must be an integer >= 0, got 2.5"),
+        ({"max_iters": 10.0}, "max_iters must be an integer >= 0, got 10.0"),
+        ({"max_iters": True}, "max_iters must be an integer >= 0, got True"),
+    ], ids=["nan-delta", "inf-delta", "neg-inf-delta", "nan-tol", "inf-tol", "zero-tol",
+            "negative-iters", "fractional-iters", "float-iters", "bool-iters"])
+    def test_bad_arguments_fail_before_any_descent(self, kwargs, message):
+        model = QuadraticModel(np.diag([1.0, 2.0]), np.ones(2))
+        args = {"delta": 0.1, "step": 0.2, "tol": 1e-12} | kwargs
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            gd_minimize_quadratic(model, **args)
+
+    @pytest.mark.parametrize("k", [DESCENT_BLOCK, DESCENT_BLOCK + 1])
+    def test_stopping_index_is_exact_across_a_block_edge(self, k):
+        # H = 1, delta = 1, step 1/4: w <- w/2 + 1/4, whose gradient 2w - 1 is
+        # exactly 2^-i at iterate i, so iterate k is the first below tol
+        model = QuadraticModel(np.eye(1), np.ones(1))
+        tol = 0.75 * 0.5 ** (k - 1)
+        expect = reference_descent(model, 1.0, 0.25, max_iters=k, tol=tol)
+        assert expect[0] == 0.5 + 0.5 ** (k + 1)
+        for max_iters in range(k - 2, k + 3):
+            if max_iters < k:
+                with pytest.raises(ConvergenceError) as err:
+                    gd_minimize_quadratic(model, 1.0, 0.25, max_iters=max_iters, tol=tol)
+                assert err.value.residual == 0.5 ** max_iters
+            else:
+                w = gd_minimize_quadratic(model, 1.0, 0.25, max_iters=max_iters, tol=tol)
+                assert np.array_equal(w, expect)
+
+    @pytest.mark.filterwarnings("ignore:delta_lambda .* is not small:UserWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(dim=st.integers(1, 30), delta=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+           tol=st.floats(1e-13, 1e-8), seed=st.integers(0, 2**32 - 1))
+    def test_meets_tol_and_agrees_with_textbook_and_closed_form(self, dim, delta, tol, seed):
+        model = random_psd_model(np.random.default_rng(seed), dim)
+        step = 1.0 / (model.eigenvalues[-1] + delta)
+        w = gd_minimize_quadratic(model, delta, step, tol=tol)
+        shifted = model.hessian + delta * np.eye(dim)
+        target = model.hessian @ model.w_star
+        # recomputed in another summation order, the gradient moves by at most
+        # the rounding bound of two length-dim dot products
+        slack = 2 * dim * EPS * np.max(np.abs(shifted) @ np.abs(w) + np.abs(target))
+        gnorm = np.max(np.abs(shifted @ w - target))
+        assert gnorm < tol + slack
+        # a point whose gradient inf-norm is g lies within sqrt(dim) g / eig_min(A)
+        # of the minimum, in inf-norm
+        radius = np.sqrt(dim) * (tol + slack) / (model.eigenvalues[0] + delta)
+        ref = reference_descent(model, delta, step, tol=tol)
+        assert np.max(np.abs(w - ref)) <= 2 * radius
+        closed = perturbed_minimum(model, delta)
+        cond = (model.eigenvalues[-1] + delta) / (model.eigenvalues[0] + delta)
+        solve_err = dim * cond * EPS * np.max(np.abs(closed))
+        assert np.max(np.abs(w - closed)) <= radius + solve_err
 
 
 # cumulative bumps outgrow the small-increment regime, which is expected here
