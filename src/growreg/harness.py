@@ -1,17 +1,18 @@
 """End-to-end experiment pipelines: pretrain, regularize, prune, fine-tune.
 
-An ``ExperimentConfig`` is checked when it is built: its layer chain
-against its input shape (``layer_shapes``), its plan against its layers for
-every method, and a ramp's ``ramp_length`` against ``reg_max_iters``.
-Every phase runs through one SGD loop, which takes the ramp's penalties
-from one scheduler tick per step.
+An ``ExperimentConfig`` is checked when it is built: its last layer against
+its class count, its layer chain against its input shape, its plan against
+its layers for every method, and a ramp's ``ramp_length`` against
+``reg_max_iters``. Every phase runs through one SGD loop, which takes the
+ramp's penalties from one scheduler tick per step.
 
-The harness owns the comparison protocols. A same-set comparison runs the
-ramped schedule and one-shot pruning from one shared baseline with the
-identical pruned set per seed (asserted via mask digests); the random-set
-variant shares one seeded random mask between both schedules. Separation
-tracking records per-layer norm dispersion and norm snapshots from one
-baseline, while the penalty grows and for the same ticks without it.
+The harness owns the comparison protocols. A comparison's arms are configs
+that differ only in ``method``, built before any seed runs; one seed
+(``_compare_seed``) runs every arm from one shared baseline and asserts,
+via mask digests, that all prune the same set: the baseline's smallest-L1
+groups, or one seeded random mask shared by all. Separation tracking
+records per-layer norm dispersion and norm snapshots from one baseline,
+while the penalty grows and for the same ticks without it.
 
 Records are plain rows plus a summary dict, both rendered to CSV with
 repr-formatted floats so identical configs reproduce byte-identical files.
@@ -40,7 +41,8 @@ from .groups import (
     sparsity,
     validate_plan_against,
 )
-from .netcore import Network, OptimState, accuracy, layer_shapes, loss_and_grads, sgd_step
+from .netcore import (Network, OptimState, _check_logits, accuracy, layer_shapes,
+                      loss_and_grads, sgd_step)
 from .scheduler import (
     RAMPED,
     RegConfig,
@@ -122,6 +124,7 @@ class ExperimentConfig:
             raise ConfigError(f"reg_momentum must lie in [0, 1), got {self.reg_momentum}")
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        _check_logits(self.layers, self.classes)
         layer_shapes(self.layers, self.input_shape)
         plan = parse_pruning_plan(self.plan, len(self.layers), self.granularity)
         validate_plan_against(self.layers, plan)
@@ -280,12 +283,14 @@ def run_method(
     One-shot methods prune the baseline immediately and fine-tune; ramped
     methods run the scheduler to done first, prune exactly the recorded
     set, then fine-tune under the shared schedule. ``initial_mask``
-    overrides the selection step (used by the shared-random-set protocol)
-    and must be at the configured granularity. ``exp`` was checked when
-    built, and ``data`` by ``build_dataset``; a ``baseline`` must have the
-    configured topology. The summary's ``reg_ticks`` counts the ticks the
-    ramp ran.
+    overrides the selection step (used by the shared-random-set protocol);
+    it must be at the configured granularity, and greg2 takes none.
+    ``exp`` was checked when built, and ``data`` by ``build_dataset``; a
+    ``baseline`` must have the configured topology. The summary's
+    ``reg_ticks`` counts the ticks the ramp ran.
     """
+    if initial_mask is not None and exp.method == "greg2":
+        raise PlanError("greg2 picks its own prune set and takes no initial mask")
     if initial_mask is not None and initial_mask.granularity != exp.granularity:
         raise PlanError(f"initial mask granularity {initial_mask.granularity!r} "
                         f"differs from the config's {exp.granularity!r}")
@@ -406,50 +411,43 @@ class ComparisonResult:
 
 
 def compare_schedules(exp: ExperimentConfig, n_seeds: int, kind: str = "l1") -> ComparisonResult:
-    """Ramped-vs-one-shot comparison over seeds with matched pruned sets.
-
-    kind "l1": both methods prune the baseline's smallest-L1 groups (the
-    same set by construction, asserted via digests). kind "random": one
-    seeded random mask per seed, shared by both schedules.
-    """
+    """Ramped-vs-one-shot comparison over seeds with matched pruned sets:
+    its arms, ``exp`` as greg1 and as the one-shot method of ``kind`` ("l1"
+    or "random"), are built (and so checked) before any seed pretrains, and
+    seed ``s`` adds the rows of ``_compare_seed(arms, s, kind)``."""
     if n_seeds < 2:
         raise ConfigError(f"need n_seeds >= 2, got {n_seeds}")
     if kind not in ("l1", "random"):
         raise ConfigError(f"kind must be 'l1' or 'random', got {kind!r}")
-    per_seed = []
-    accs = {"greg1": [], "oneshot": []}
-    for s in range(n_seeds):
-        # built as greg1, so a bad plan or ramp fails before any seed pretrains
-        exp_s = replace(exp, seed=exp.seed + s, method="greg1")
-        data = build_dataset(exp_s, seed_shift=s)
-        baseline = pretrain(exp_s, data)
-        mask = None
-        if kind == "random":
-            mask = random_prune_set(baseline, exp_s.pruning_plan, seed=[exp_s.seed, 3])
-        rec_greg = run_method(exp_s, baseline=baseline, data=data, initial_mask=mask)
-        exp_o = replace(
-            exp_s, method="oneshot_l1" if kind == "l1" else "random_subset"
-        )
-        rec_one = run_method(exp_o, baseline=baseline, data=data, initial_mask=mask)
-        if rec_greg.summary["pruned_hash"] != rec_one.summary["pruned_hash"]:
-            raise ProtocolError(
-                f"seed {exp_s.seed}: pruned sets differ between schedules "
-                f"({rec_greg.summary['pruned_hash']} vs {rec_one.summary['pruned_hash']})"
-            )
-        for name, rec in (("greg1", rec_greg), ("oneshot", rec_one)):
-            accs[name].append(rec.summary["post_finetune_acc"])
-            per_seed.append(
-                {
-                    "seed": exp_s.seed,
-                    "method": name,
-                    "post_finetune_acc": rec.summary["post_finetune_acc"],
-                    "pruned_hash": rec.summary["pruned_hash"],
-                }
-            )
-    aggregates = {
-        name: (float(np.mean(vals)), float(np.std(vals))) for name, vals in accs.items()
-    }
+    arms = (replace(exp, method="greg1"),
+            replace(exp, method="oneshot_l1" if kind == "l1" else "random_subset"))
+    per_seed = [row for s in range(n_seeds) for row in _compare_seed(arms, s, kind)]
+    accs = {}
+    for row in per_seed:
+        accs.setdefault(row["method"], []).append(row["post_finetune_acc"])
+    aggregates = {m: (float(np.mean(v)), float(np.std(v))) for m, v in accs.items()}
     return ComparisonResult(per_seed=per_seed, aggregates=aggregates)
+
+
+def _compare_seed(arms, shift, kind):
+    """Seed ``shift`` of a comparison: every arm, its seed shifted by
+    ``shift``, from one pretrained baseline; one row per arm, in arm order.
+    ``ProtocolError`` as soon as an arm's pruned set differs from the first's."""
+    arms = [replace(arm, seed=arm.seed + shift) for arm in arms]
+    data = build_dataset(arms[0], seed_shift=shift)
+    baseline = pretrain(arms[0], data)
+    mask = (random_prune_set(baseline, arms[0].pruning_plan, seed=[arms[0].seed, 3])
+            if kind == "random" else None)
+    rows = []
+    for arm in arms:
+        s = run_method(arm, baseline=baseline, data=data, initial_mask=mask).summary
+        if rows and s["pruned_hash"] != rows[0]["pruned_hash"]:
+            raise ProtocolError(f"seed {arm.seed}: pruned sets differ between schedules "
+                                f"({rows[0]['pruned_hash']} vs {s['pruned_hash']})")
+        name = "oneshot" if arm.method in ("oneshot_l1", "random_subset") else arm.method
+        rows.append({"seed": arm.seed, "method": name,
+                     "post_finetune_acc": s["post_finetune_acc"], "pruned_hash": s["pruned_hash"]})
+    return rows
 
 
 def schedule_length(exp: ExperimentConfig) -> int:

@@ -199,8 +199,7 @@ class Network:
         return cls(layers, input_shape, classes, weights, biases)
 
     def _validate(self, weights, biases, frozen):
-        if not self.layers:
-            raise DimensionError("network needs at least one layer")
+        _check_logits(self.layers, self.classes)
         for name, arrays in (("weights", weights), ("biases", biases), ("frozen", frozen)):
             if arrays is not None and len(arrays) != len(self.layers):
                 raise DimensionError(
@@ -221,13 +220,6 @@ class Network:
                 raise DimensionError(f"layer {l} frozen mask shape mismatch")
             if frozen is not None and np.any(w[frozen[l]]):
                 raise DomainError(f"layer {l}: nonzero weight under a frozen flag")
-        last = self.layers[-1]
-        if last.activation != "none":
-            raise DomainError("final layer must emit raw logits (activation 'none')")
-        if last.units != self.classes:
-            raise DimensionError(
-                f"final layer has {last.units} units for {self.classes} classes"
-            )
 
     # -- conveniences ------------------------------------------------------
 
@@ -238,6 +230,16 @@ class Network:
 
     def num_weights(self):
         return int(self.flat_w.size)
+
+
+def _check_logits(layers, classes):
+    """The logits rule: a last layer with raw logits, one per class."""
+    if not layers:
+        raise DimensionError("network needs at least one layer")
+    if layers[-1].activation != "none":
+        raise DomainError("final layer must emit raw logits (activation 'none')")
+    if layers[-1].units != classes:
+        raise DimensionError(f"final layer has {layers[-1].units} units for {classes} classes")
 
 
 def layer_shapes(layers, input_shape):

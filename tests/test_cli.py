@@ -645,6 +645,25 @@ class TestValidationExitCodes:
         assert message in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("layer, message", [
+        ({"activation": "relu"},
+         "experiment: final layer must emit raw logits (activation 'none')"),
+        ({"units": 3}, "experiment: final layer has 3 units for 2 classes"),
+    ], ids=["relu", "3-units"])
+    @pytest.mark.parametrize("command", ["pretrain", "run", "compare"])
+    def test_bad_logits_exit_2_before_any_work(self, runner, tmp_path, command, layer,
+                                               message):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["experiment"]["net"]["layers"][-1].update(layer)
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert message in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("literal", [b"1" + b"0" * 4999, b'"\xff"'],
                              ids=["5000-digit-integer", "non-utf8-string"])
     def test_unreadable_json_value_exits_2(self, runner, tmp_path, literal):

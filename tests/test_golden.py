@@ -3,7 +3,8 @@
 The pinned configs are dense and prune filters. The variants pin the
 other ways a weight group sits in a tensor: single weights of the desk
 nets (at a fifth of their steps), and filters and single weights of a
-small conv net trained on a seeded image CSV.
+small conv net trained on a seeded image CSV. The comparison table and
+the separation records are pinned at a fifth of their steps too.
 
 A change that alters these on purpose updates the digest and says why.
 """
@@ -16,7 +17,13 @@ import numpy as np
 import pytest
 
 from growreg.config import load_config
-from growreg.harness import ExperimentConfig, PhaseSchedule, run_method
+from growreg.harness import (
+    ExperimentConfig,
+    PhaseSchedule,
+    compare_schedules,
+    run_method,
+    track_separation,
+)
 from growreg.netcore import LayerSpec
 from growreg.scheduler import RegConfig
 
@@ -57,6 +64,22 @@ def shortened(exp, granularity):
 def test_weight_granularity_digest(name, expected):
     exp = shortened(load_config(CONFIG_DIR / f"{name}.json"), "weight")
     assert digest(run_method(exp)) == expected
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("l1", "51580618dd25e498"),
+    ("random", "ad4e7e66f233dd96"),
+])
+def test_comparison_digest(kind, expected):
+    exp = shortened(load_config(CONFIG_DIR / "compare_desk.json"), "filter")
+    table = compare_schedules(exp, 2, kind).table_csv()
+    assert hashlib.sha256(table.encode()).hexdigest()[:16] == expected
+
+
+def test_separation_digest():
+    exp = shortened(load_config(CONFIG_DIR / "separation_desk.json"), "filter")
+    ramp, control = track_separation(exp)
+    assert (digest(ramp), digest(control)) == ("e951c0e952b05983", "91efbd4eca471ce2")
 
 
 def conv_config(tmp_path, method, granularity):

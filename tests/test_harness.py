@@ -1,5 +1,6 @@
 """Datasets and end-to-end pipelines at quick desk settings."""
 
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -18,7 +19,14 @@ from growreg.errors import (
     PlanError,
     ProtocolError,
 )
-from growreg.groups import Mask, PruningPlan, apply_hard_prune, group_counts, select_prune_set
+from growreg.groups import (
+    Mask,
+    PruningPlan,
+    apply_hard_prune,
+    group_counts,
+    random_prune_set,
+    select_prune_set,
+)
 from growreg.harness import (
     ExperimentConfig,
     PhaseSchedule,
@@ -212,6 +220,21 @@ class TestRunMethod:
         with pytest.raises(PlanError, match="'weight'.*'filter'"):
             run_method(exp, initial_mask=mask)
 
+    def test_greg2_rejects_an_initial_mask_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before the mask was rejected")
+
+        monkeypatch.setattr(harness, "build_dataset", no_work)
+        monkeypatch.setattr(harness, "pretrain", no_work)
+        monkeypatch.setattr(Network, "clone", no_work)
+        exp = quick_config(method="greg2")
+        net = Network.initialize(exp.layers, exp.input_shape, exp.classes, seed=0)
+        mask = random_prune_set(net, exp.pruning_plan, seed=[exp.seed, 3])
+        with pytest.raises(PlanError, match="greg2 picks its own prune set"):
+            run_method(exp, initial_mask=mask)
+        with pytest.raises(PlanError, match="greg2 picks its own prune set"):
+            run_method(exp, baseline=net, initial_mask=mask)
+
     def test_greg1_rows_cover_phases(self):
         rec = run_method(quick_config(metric_every=10))
         phases = {row["phase"] for row in rec.rows}
@@ -404,6 +427,14 @@ class TestCompare:
         with pytest.raises(ProtocolError, match=r"^seed 7: pruned sets differ between "
                                                 r"schedules \([0-9a-f]{16} vs [0-9a-f]{16}\)$"):
             compare_schedules(exp, n_seeds=2)
+
+    def test_one_seed_survives_a_pickle_round_trip(self):
+        exp = quick_config(pre_steps=100, ft_steps=20)
+        arms = (replace(exp, method="greg1"), replace(exp, method="random_subset"))
+        unit, sent = pickle.loads(pickle.dumps((harness._compare_seed, arms)))
+        rows = unit(sent, 1, "random")
+        assert rows == harness._compare_seed(arms, 1, "random")
+        assert [(row["seed"], row["method"]) for row in rows] == [(1, "greg1"), (1, "oneshot")]
 
     def test_seed_count_validated(self):
         with pytest.raises(ConfigError):
